@@ -1,14 +1,14 @@
-"""Supervised-sweep overhead and recovery cost under worker faults.
+"""Supervised-sweep recovery cost under worker faults.
 
-Three questions, one deterministic world each:
+Three runs of one deterministic world, all under the supervised
+executor (every sharded sweep is supervised):
 
-* what does supervision cost when nothing fails? — a fault-free run
-  under the supervised executor vs. the same run unsupervised;
-* what does a worker-fault storm cost? — crash/hang injection at a
-  fixed rate, measuring re-dispatches per sweep and the export parity
-  the supervisor guarantees (byte-identical to fault-free);
-* what does poison isolation cost? — one poisoned FQDN, measuring the
-  bisection depth (spans dispatched) needed to quarantine it.
+* fault-free — the baseline wall time and export digest;
+* a worker-fault storm — crash/hang injection at a fixed rate,
+  reporting the injected crashes and hangs and asserting the export
+  parity the supervisor guarantees (byte-identical to fault-free);
+* one poisoned FQDN — asserting the bisection quarantines it in every
+  sweep it appears in.
 
 Runs under pytest (tiny world, emits ``benchmarks/results/``) or
 standalone (``python benchmarks/bench_supervisor.py`` for the small

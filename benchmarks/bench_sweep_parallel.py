@@ -79,8 +79,8 @@ def run_variant(scale: str, workers: int, weeks: Optional[int],
         cache_hits = executor.extraction_cache.hits
         cache_misses = executor.extraction_cache.misses
         mode = executor.last_mode or "inline"
-    # Last week's report: wall is elapsed (max under merge), cpu is
-    # summed shard sampling time — the satellite-fixed distinction.
+    # Last week's report: wall is elapsed, cpu is summed shard
+    # sampling time (equal for a serial sweep).
     report = executor.last_report if executor is not None else None
     return {
         "workers": workers,

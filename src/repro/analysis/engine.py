@@ -28,10 +28,11 @@ for diagnostics) and everything downstream of it is marked skipped —
 one broken analysis costs its report section, never the report.
 
 Observability: every task runs under an ``analysis.<name>`` span and
-bumps ``analysis.<name>.{ok,failed,skipped}`` counter series (children
-swap in a fresh registry/buffer tracer and ship both home, exactly
-like sweep shard workers), so serial and parallel runs produce the
-same deterministic counters.
+bumps ``analysis.<name>.{ok,failed,skipped}`` counter series.  Pool
+children run on the sweep supervisor's fork primitive
+(:func:`repro.parallel.supervisor.spawn`), which swaps in a fresh
+registry and buffer tracer and ships both home, so serial and parallel
+runs produce the same deterministic counters.
 
 Fault injection is suppressed for the duration of a run: the analyses
 are offline measurements over the finished world, and drawing from the
@@ -40,10 +41,8 @@ fault streams here would make task outputs depend on execution order.
 
 from __future__ import annotations
 
-import os
-import pickle
+import functools
 import select
-import struct
 import time
 import traceback
 from contextlib import nullcontext
@@ -51,7 +50,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs import OBS, MetricsRegistry, cpu_seconds_now
-from repro.parallel.shard import _read_exact, _write_all, fork_with_pipe
+from repro.parallel.supervisor import (
+    Worker,
+    WorkerFailure,
+    absorb,
+    collect,
+    fork_available,
+    spawn,
+)
 
 
 @dataclass(frozen=True)
@@ -242,8 +248,8 @@ def run_analyses(
     """Execute a task registry over one finished scenario.
 
     ``workers <= 1`` runs the serial parity path; ``workers > 1`` runs
-    the forked pool (falling back to serial where ``os.fork`` does not
-    exist).  Output is byte-identical either way: outcomes are always
+    the forked pool (falling back to serial where the platform cannot
+    fork).  Output is byte-identical either way: outcomes are always
     merged in registry order.
     """
     if registry is None:
@@ -255,7 +261,7 @@ def run_analyses(
     suppress = plan.suppressed() if plan is not None else nullcontext()
     started = time.perf_counter()
     with suppress:
-        if workers == 1 or len(registry) <= 1 or not hasattr(os, "fork"):
+        if workers == 1 or len(registry) <= 1 or not fork_available():
             done = _run_serial(result, registry)
             effective_workers = 1
         else:
@@ -290,31 +296,24 @@ def _run_serial(result, registry: AnalysisRegistry) -> Dict[str, AnalysisOutcome
     return done
 
 
-@dataclass
-class _Child:
-    """One in-flight forked task worker."""
-
-    task: AnalysisTask
-    pid: int
-    read_fd: int
-
-
 def _run_pool(
     result, registry: AnalysisRegistry, workers: int
 ) -> Dict[str, AnalysisOutcome]:
     """The forked task-graph pool.
 
     Dispatches ready tasks (dependencies completed ok) to at most
-    ``workers`` concurrent children, highest static cost first.  Child
-    observability (fresh registry + buffered spans) is shipped home in
-    the result frame; the parent folds registries and replays trace
-    events in **registry order** after the pool drains, so the merged
-    counters and the sim-clock trace projection match a serial run.
+    ``workers`` concurrent children, highest static cost first.  Each
+    child ships its observability (fresh registry + buffered spans)
+    home with its outcome; the parent folds registries and replays
+    trace events in **registry order** after the pool drains, so the
+    merged counters and the sim-clock trace projection match a serial
+    run.  A child that dies, or whose outcome cannot be pickled,
+    degrades to an error outcome for its task.
     """
     pending: List[AnalysisTask] = list(registry)
     done: Dict[str, AnalysisOutcome] = {}
-    active: Dict[int, _Child] = {}
-    obs_freight: Dict[str, Tuple[Optional[MetricsRegistry], List[Dict]]] = {}
+    active: Dict[int, Tuple[AnalysisTask, Worker]] = {}
+    shipped: Dict[str, Tuple[Optional[MetricsRegistry], List[Dict]]] = {}
 
     def resolve_skips() -> None:
         # Failure cascades can unlock several rounds of skips.
@@ -345,8 +344,11 @@ def _run_pool(
             if task is None:
                 break
             pending.remove(task)
-            child = _spawn(task, result, _dep_payloads(task, done))
-            active[child.read_fd] = child
+            work = functools.partial(
+                _execute_task, task, result, _dep_payloads(task, done)
+            )
+            worker = spawn(work, f"analysis task {task.name!r}")
+            active[worker.read_fd] = (task, worker)
         if not active:
             if pending:  # unreachable for a validated registry
                 raise RuntimeError(
@@ -355,93 +357,25 @@ def _run_pool(
             break
         readable, _, _ = select.select(list(active), [], [])
         for read_fd in readable:
-            child = active.pop(read_fd)
-            outcome, freight = _collect(child)
-            done[child.task.name] = outcome
-            if freight is not None:
-                obs_freight[child.task.name] = freight
-
-    if OBS.enabled and obs_freight:
-        # Deterministic fold: registry order, whatever the completion
-        # interleaving was.
-        for task in registry:
-            freight = obs_freight.get(task.name)
-            if freight is None:
-                continue
-            registry_part, events = freight
-            if registry_part is not None:
-                OBS.metrics.merge_from(registry_part)
-            if events:
-                OBS.tracer.replay(events)
-    return done
-
-
-def _spawn(task: AnalysisTask, result, deps: Dict[str, object]) -> _Child:
-    pid, read_fd, write_fd = fork_with_pipe()
-    if pid == 0:
-        os.close(read_fd)
-        exit_code = 0
-        try:
-            if OBS.enabled:
-                # The child's counters and spans die with it: swap in a
-                # fresh registry and a buffer tracer and ship both home.
-                OBS.metrics = MetricsRegistry()
-                OBS.tracer = OBS.tracer.fork_buffer()
-            outcome = _execute_task(task, result, deps)
-            registry_part = OBS.metrics if OBS.enabled else None
-            # Metrics-only configurations leave the null tracer (which
-            # buffers nothing) installed.
-            events = getattr(OBS.tracer, "events", []) if OBS.enabled else []
+            task, worker = active.pop(read_fd)
             try:
-                payload = pickle.dumps(
-                    (outcome, registry_part, events),
-                    protocol=pickle.HIGHEST_PROTOCOL,
+                outcome, registry_part, events = collect(worker)
+            except WorkerFailure as failure:
+                # ``_execute_task`` isolates every exception a task
+                # raises, so an error frame means the outcome could not
+                # be pickled; any other failure killed the worker.
+                label = (
+                    "UnpicklablePayload" if failure.kind == "error"
+                    else "AnalysisWorkerDied"
                 )
-            except Exception as error:
-                # The analysis ran but its payload cannot cross the
-                # pipe: degrade to an error outcome rather than a dead
-                # worker.
-                fallback = AnalysisOutcome(
-                    task=task.name,
-                    error=f"UnpicklablePayload: {type(error).__name__}: {error}",
-                    error_detail=traceback.format_exc(),
-                    wall_ms=outcome.wall_ms,
-                )
-                payload = pickle.dumps(
-                    (fallback, registry_part, events),
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-            _write_all(write_fd, struct.pack("<Q", len(payload)) + payload)
-            os.close(write_fd)
-        except BaseException:
-            exit_code = 1
-        os._exit(exit_code)
-    os.close(write_fd)
-    return _Child(task=task, pid=pid, read_fd=read_fd)
+                outcome = AnalysisOutcome(task=task.name, error=f"{label}: {failure}")
+            else:
+                shipped[task.name] = (registry_part, events)
+            done[task.name] = outcome
 
-
-def _collect(
-    child: _Child,
-) -> Tuple[AnalysisOutcome, Optional[Tuple[Optional[MetricsRegistry], List[Dict]]]]:
-    """Read one child's result frame; a dead worker degrades to an error."""
-    try:
-        header = _read_exact(child.read_fd, 8)
-        (length,) = struct.unpack("<Q", header)
-        payload = _read_exact(child.read_fd, length)
-    except Exception as error:
-        os.close(child.read_fd)
-        _, status = os.waitpid(child.pid, 0)
-        return (
-            AnalysisOutcome(
-                task=child.task.name,
-                error=(
-                    f"AnalysisWorkerDied: task {child.task.name!r} worker "
-                    f"pid {child.pid} (status {status}): {error}"
-                ),
-            ),
-            None,
-        )
-    os.close(child.read_fd)
-    os.waitpid(child.pid, 0)
-    outcome, registry_part, events = pickle.loads(payload)
-    return outcome, (registry_part, events)
+    # Deterministic fold: registry order, whatever the completion
+    # interleaving was.
+    for task in registry:
+        if task.name in shipped:
+            absorb(*shipped[task.name])
+    return done

@@ -13,7 +13,6 @@ and what change detection consumes.
 from __future__ import annotations
 
 import hashlib
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from datetime import datetime
@@ -256,13 +255,6 @@ class ExtractionCache:
     hits: int = 0
     misses: int = 0
 
-    def merge(self, other: "ExtractionCache") -> None:
-        """Fold ``other``'s entries and counters into this cache."""
-        self.html.update(other.html)
-        self.sitemap.update(other.sitemap)
-        self.hits += other.hits
-        self.misses += other.misses
-
 
 @dataclass(frozen=True)
 class TouchEntry:
@@ -362,30 +354,11 @@ class WeeklyMonitor:
         self.touch_ledger = TouchLedger(cap=self.config.touch_ledger_cap)
         self.samples_taken = 0
         self.sitemap_fetches = 0
-        self._last_sweep_failures: List[Tuple[Name, str]] = []
 
     @property
     def client(self) -> HttpClient:
         """The HTTP client the monitor samples through."""
         return self._client
-
-    @property
-    def last_sweep_failures(self) -> List[Tuple[Name, str]]:
-        """(fqdn, fetch_status) pairs whose *final* sample still ended
-        in a transient failure — retries exhausted — in the most
-        recently *started* sweep.
-
-        .. deprecated::
-            Pass a ``failures`` sink to :meth:`sweep_iter` instead; the
-            shared property is racy when sweeps interleave.
-        """
-        warnings.warn(
-            "WeeklyMonitor.last_sweep_failures is deprecated; pass a "
-            "`failures` sink to sweep_iter() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._last_sweep_failures
 
     def sweep(
         self, fqdns: Sequence[Name], at: datetime
@@ -416,18 +389,16 @@ class WeeklyMonitor:
         (possibly empty) changed-pairs list per batch; iterating to
         exhaustion is equivalent to :meth:`sweep`.
 
-        Retry-exhausted transient failures are appended to ``failures``
-        when given, else to a fresh per-call list readable (for
-        compatibility) as :attr:`last_sweep_failures`.  Validation and
-        the failure-list rebind happen eagerly at call time, not at
-        first ``next()``, so interleaved sweeps never clobber each
-        other's quarantine lists.
+        Retry-exhausted transient failures — (fqdn, fetch_status) pairs
+        whose final sample still failed — are appended to ``failures``
+        when given (else dropped).  Validation and the sink binding
+        happen eagerly at call time, not at first ``next()``, so
+        interleaved sweeps never clobber each other's quarantine lists.
         """
         size = batch_size if batch_size is not None else self.config.sweep_batch_size
         if size <= 0:
             raise ValueError(f"batch_size must be positive, got {size}")
         sink: List[Tuple[Name, str]] = failures if failures is not None else []
-        self._last_sweep_failures = sink
         return self._sweep_batches(fqdns, at, size, sink)
 
     def _sweep_batches(

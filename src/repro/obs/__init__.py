@@ -19,11 +19,12 @@ Enable it by installing real sinks::
         finally:
             OBS.reset()
 
-Forked shard workers swap in their own registry/buffer-tracer pair for
-the duration of the shard (:mod:`repro.parallel.shard`) and ship both
-home in the :class:`ShardResult`; the parent reduces registries with
-the associative :meth:`MetricsRegistry.merge_from` and replays trace
-events in shard order, so worker count never changes the totals.  The
+Forked workers — sweep shards and analysis tasks alike — swap in their
+own registry/buffer-tracer pair (:func:`repro.parallel.supervisor.spawn`)
+and ship both home with their result; the parent reduces registries
+with the associative :meth:`MetricsRegistry.merge_from` and replays
+trace events in shard (or task-registry) order, so worker count never
+changes the totals.  The
 series recorder lives parent-side only: it snapshots the *merged*
 registry at week boundaries, after every shard effect has landed.
 """

@@ -25,21 +25,23 @@ import os
 import time
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.monitoring import ExtractionCache, SnapshotFeatures, WeeklyMonitor
 from repro.dns.names import Name
 from repro.obs import OBS
 from repro.parallel.shard import (
     ShardResult,
-    fork_available,
+    add_counters,
+    counter_snapshot,
     partition,
-    run_shard,
-    run_shards_forked,
+    write_counters,
 )
 from repro.parallel.supervisor import (
     DeadLetter,
     SupervisorConfig,
+    absorb,
+    fork_available,
     run_shards_supervised,
 )
 
@@ -56,79 +58,29 @@ def effective_cpus() -> int:
 
 @dataclass
 class SweepReport:
-    """One sweep's merged outcome: changes, failures and counters.
+    """One sweep's outcome: what changed, what failed, and its timing.
 
-    Reports merge associatively (:meth:`merge`): lists concatenate in
-    order and counters sum, so reducing per-shard reports left-to-right
-    equals reducing any bracketing of them — the property that makes
-    the shard-order merge well-defined.
-
-    Two timing fields with different merge laws: ``cpu_seconds`` is
-    the work actually done (sum of shard sampling time — sums under
-    merge), while ``wall_seconds`` is elapsed time (concurrent shards
-    overlap — max under merge).  Summing walls was the old bug: merging
-    N concurrent shard reports inflated "elapsed" N-fold.
+    ``changed``, ``failures`` and ``quarantined`` are in input order.
+    Counters are not repeated here: they live on the monitor, its
+    client and the extraction cache, where forked shards' deltas are
+    replayed.
     """
 
     changed: List[ChangedPair] = field(default_factory=list)
     failures: List[Tuple[Name, str]] = field(default_factory=list)
-    samples_taken: int = 0
-    sitemap_fetches: int = 0
-    retries: int = 0
-    backoff_seconds: float = 0.0
-    breaker_trips: int = 0
-    injected: Dict[str, int] = field(default_factory=dict)
-    cache_hits: int = 0
-    cache_misses: int = 0
     #: Names the supervisor's poison bisection quarantined this sweep,
     #: as (fqdn, reason) pairs in shard order.  Distinct from
     #: ``failures`` (retry-exhausted *samples*): a quarantined name
     #: never produced a sample at all — its worker died every attempt.
     quarantined: List[Tuple[Name, str]] = field(default_factory=list)
-    worker_crashes: int = 0
-    worker_hangs: int = 0
-    shard_retries: int = 0
-    workers: int = 1
+    #: "serial", or how a sharded sweep ran: "fork" or "inline".
     mode: str = "serial"
-    shard_sizes: List[int] = field(default_factory=list)
-    shard_walls: List[float] = field(default_factory=list)
-    #: Elapsed time of the sweep (max under merge — concurrent parts
-    #: overlap; the executor overwrites it with the true elapsed time).
+    #: Elapsed time of the whole sweep.
     wall_seconds: float = 0.0
-    #: Total sampling time across shards (sum under merge).
+    #: Sampling time summed over shards: concurrent shards overlap, so
+    #: this can exceed ``wall_seconds`` (a serial sweep reports both
+    #: equal).
     cpu_seconds: float = 0.0
-
-    @property
-    def fqdns_swept(self) -> int:
-        return self.samples_taken
-
-    def merge(self, other: "SweepReport") -> "SweepReport":
-        """A new report combining ``self`` then ``other`` (associative)."""
-        merged_injected = dict(self.injected)
-        for kind, count in other.injected.items():
-            merged_injected[kind] = merged_injected.get(kind, 0) + count
-        return SweepReport(
-            changed=self.changed + other.changed,
-            failures=self.failures + other.failures,
-            samples_taken=self.samples_taken + other.samples_taken,
-            sitemap_fetches=self.sitemap_fetches + other.sitemap_fetches,
-            retries=self.retries + other.retries,
-            backoff_seconds=self.backoff_seconds + other.backoff_seconds,
-            breaker_trips=self.breaker_trips + other.breaker_trips,
-            injected=merged_injected,
-            cache_hits=self.cache_hits + other.cache_hits,
-            cache_misses=self.cache_misses + other.cache_misses,
-            quarantined=self.quarantined + other.quarantined,
-            worker_crashes=self.worker_crashes + other.worker_crashes,
-            worker_hangs=self.worker_hangs + other.worker_hangs,
-            shard_retries=self.shard_retries + other.shard_retries,
-            workers=max(self.workers, other.workers),
-            mode=self.mode if self.mode == other.mode else "mixed",
-            shard_sizes=self.shard_sizes + other.shard_sizes,
-            shard_walls=self.shard_walls + other.shard_walls,
-            wall_seconds=max(self.wall_seconds, other.wall_seconds),
-            cpu_seconds=self.cpu_seconds + other.cpu_seconds,
-        )
 
 
 class SweepExecutor:
@@ -153,14 +105,6 @@ class SerialExecutor(SweepExecutor):
     def sweep(
         self, monitor: WeeklyMonitor, fqdns: Sequence[Name], at: datetime
     ) -> SweepReport:
-        client = monitor.client
-        plan = client.fault_plan
-        samples0 = monitor.samples_taken
-        sitemap0 = monitor.sitemap_fetches
-        retries0 = client.retries_total
-        backoff0 = client.backoff_seconds_total
-        trips0 = client.breaker.trips if client.breaker is not None else 0
-        injected0 = dict(plan.stats.injected) if plan is not None else {}
         started = time.perf_counter()
         failures: List[Tuple[Name, str]] = []
         changed: List[ChangedPair] = []
@@ -168,27 +112,9 @@ class SerialExecutor(SweepExecutor):
             changed.extend(batch_changed)
         wall = time.perf_counter() - started
         report = SweepReport(
-            changed=changed,
-            failures=failures,
-            samples_taken=monitor.samples_taken - samples0,
-            sitemap_fetches=monitor.sitemap_fetches - sitemap0,
-            retries=client.retries_total - retries0,
-            backoff_seconds=client.backoff_seconds_total - backoff0,
-            breaker_trips=(
-                client.breaker.trips - trips0 if client.breaker is not None else 0
-            ),
-            workers=1,
-            mode="serial",
-            shard_sizes=[len(fqdns)],
-            shard_walls=[wall],
-            wall_seconds=wall,
-            cpu_seconds=wall,
+            changed=changed, failures=failures, mode="serial",
+            wall_seconds=wall, cpu_seconds=wall,
         )
-        if plan is not None:
-            for kind, count in plan.stats.injected.items():
-                delta = count - injected0.get(kind, 0)
-                if delta:
-                    report.injected[kind] = delta
         self.last_report = report
         return report
 
@@ -222,7 +148,6 @@ class ProcessExecutor(SweepExecutor):
         extraction_cache: Optional[ExtractionCache] = None,
         use_fork: Optional[bool] = None,
         supervisor: Optional[SupervisorConfig] = None,
-        supervised: bool = True,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -231,11 +156,8 @@ class ProcessExecutor(SweepExecutor):
             extraction_cache if extraction_cache is not None else ExtractionCache()
         )
         self.use_fork = use_fork
-        #: Failure-handling knobs; every sweep runs under the
-        #: supervisor unless ``supervised=False`` opts into the bare
-        #: fail-fast fork protocol (kept as a comparison baseline).
+        #: Failure-handling knobs; every sweep runs under the supervisor.
         self.supervisor = supervisor if supervisor is not None else SupervisorConfig()
-        self.supervised = supervised
         #: "fork" or "inline" — how the most recent sweep actually ran.
         self.last_mode: Optional[str] = None
 
@@ -248,29 +170,13 @@ class ProcessExecutor(SweepExecutor):
         )
         forked = len(shards) > 1 and want_fork and fork_available()
         started = time.perf_counter()
-        quarantined: List[DeadLetter] = []
-        if self.supervised:
-            outcome = run_shards_supervised(
-                monitor, shards, at, self.extraction_cache,
-                config=self.supervisor, forked=forked,
-            )
-            results = outcome.results
-            quarantined = outcome.quarantined
-        elif forked:
-            results = run_shards_forked(monitor, shards, at, self.extraction_cache)
-        else:
-            results = [
-                run_shard(monitor, index, shard, at, self.extraction_cache, forked=False)
-                for index, shard in enumerate(shards)
-            ]
+        outcome = run_shards_supervised(
+            monitor, shards, at, self.extraction_cache,
+            config=self.supervisor, forked=forked,
+        )
         self.last_mode = "fork" if forked else "inline"
-        report = self._apply(monitor, results, forked, at, quarantined)
-        report.workers = self.workers
+        report = self._apply(monitor, outcome.results, forked, at, outcome.quarantined)
         report.mode = self.last_mode
-        if self.supervised:
-            report.worker_crashes = outcome.worker_crashes
-            report.worker_hangs = outcome.worker_hangs
-            report.shard_retries = outcome.shard_retries
         report.wall_seconds = time.perf_counter() - started
         self.last_report = report
         return report
@@ -284,10 +190,8 @@ class ProcessExecutor(SweepExecutor):
         quarantined: Optional[List[DeadLetter]] = None,
     ) -> SweepReport:
         """Replay shard results into the parent, in shard order."""
-        client = monitor.client
-        plan = client.fault_plan
-        breaker = client.breaker
-        resolver = client.resolver
+        cache = self.extraction_cache
+        resolver = monitor.client.resolver
         ledger = (
             monitor.touch_ledger
             if monitor.incremental and monitor.journal is not None
@@ -297,31 +201,16 @@ class ProcessExecutor(SweepExecutor):
         for result in results:
             if forked:
                 # The child's mutations died with it: apply the deltas.
-                monitor.samples_taken += result.samples_taken
-                monitor.sitemap_fetches += result.sitemap_fetches
-                client.retries_total += result.retries
-                client.backoff_seconds_total += result.backoff_seconds
-                if breaker is not None:
-                    breaker.trips += result.breaker_trips
-                if plan is not None:
-                    for kind, count in result.injected.items():
-                        plan.stats.injected[kind] = (
-                            plan.stats.injected.get(kind, 0) + count
-                        )
+                write_counters(
+                    monitor, cache,
+                    add_counters(counter_snapshot(monitor, cache), result.counters),
+                )
                 if resolver.passive_dns is not None:
                     for record, when in result.observations:
                         resolver.passive_dns.observe(record, when)
-                self.extraction_cache.html.update(result.new_html)
-                self.extraction_cache.sitemap.update(result.new_sitemap)
-                self.extraction_cache.hits += result.cache_hits
-                self.extraction_cache.misses += result.cache_misses
-                # Shard-local observability reduces like every other
-                # delta: registries merge associatively, trace events
-                # replay in shard order.
-                if result.metrics is not None and OBS.enabled:
-                    OBS.metrics.merge_from(result.metrics)
-                if result.trace_events:
-                    OBS.tracer.replay(result.trace_events)
+                cache.html.update(result.new_html)
+                cache.sitemap.update(result.new_sitemap)
+                absorb(result.metrics, result.trace_events)
             for entry in result.sampled:
                 if isinstance(entry, SnapshotFeatures):
                     is_new, previous = monitor.store.record(entry)
@@ -343,17 +232,6 @@ class ProcessExecutor(SweepExecutor):
                 for fqdn, _status in result.failures:
                     ledger.invalidate(fqdn)
             report.failures.extend(result.failures)
-            report.samples_taken += result.samples_taken
-            report.sitemap_fetches += result.sitemap_fetches
-            report.retries += result.retries
-            report.backoff_seconds += result.backoff_seconds
-            report.breaker_trips += result.breaker_trips
-            for kind, count in result.injected.items():
-                report.injected[kind] = report.injected.get(kind, 0) + count
-            report.cache_hits += result.cache_hits
-            report.cache_misses += result.cache_misses
-            report.shard_sizes.append(result.size)
-            report.shard_walls.append(result.wall_seconds)
             report.cpu_seconds += result.wall_seconds
             if OBS.enabled:
                 OBS.series.record_shard(

@@ -8,12 +8,13 @@ what makes a sharded sweep byte-identical to a serial one — the store,
 the changed-pairs list and the quarantine list all see the exact same
 sequence either way.
 
-Workers are plain ``os.fork`` children (copy-on-write world, no spawn
-re-import cost) that ship their :class:`ShardResult` back over a pipe
-as one length-prefixed pickle.  Anything a worker *would* have mutated
-in the parent — passive-DNS observations, monitor/client counters,
-fault statistics, new extraction-cache entries — is captured as a delta
-in the result and replayed by the parent, again in shard order.
+Forked shards run on the supervisor's fork primitive
+(:func:`repro.parallel.supervisor.spawn`), which ships the
+:class:`ShardResult` home over a pipe.  Anything a worker *would* have
+mutated in the parent is captured in the result and replayed by the
+parent, again in shard order: passive-DNS observations, new
+extraction-cache entries, and every counter the shard moved, as one
+delta dict (:func:`counter_snapshot`).
 
 When the world is healthy (no fault plan drawing, no breaker, no retry
 budget, plain HTTP) a shard takes the *fused* sampling path: one
@@ -27,11 +28,7 @@ any status — so its features are byte-identical to the generic path's.
 from __future__ import annotations
 
 import hashlib
-import os
-import pickle
-import struct
 import time
-import traceback
 from dataclasses import dataclass, field, replace
 from datetime import datetime
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -164,13 +161,7 @@ def _touch_clean(
 
 @dataclass
 class ShardResult:
-    """Everything one shard's sweep produced, as replayable data.
-
-    Counter fields are *deltas* against the worker's pre-sweep state,
-    so the parent can apply them whether the shard ran forked (parent
-    state untouched) or inline (parent state already mutated — deltas
-    then only feed the report, never re-applied).
-    """
+    """Everything one shard's sweep produced, as replayable data."""
 
     index: int
     size: int
@@ -183,20 +174,16 @@ class ShardResult:
     sampled: List[Union[SnapshotFeatures, Name]] = field(default_factory=list)
     #: Retry-exhausted (fqdn, fetch_status) pairs, in input order.
     failures: List[Tuple[Name, str]] = field(default_factory=list)
-    samples_taken: int = 0
-    sitemap_fetches: int = 0
-    retries: int = 0
-    backoff_seconds: float = 0.0
-    breaker_trips: int = 0
-    injected: Dict[str, int] = field(default_factory=dict)
+    #: How far the shard moved every counter :func:`counter_snapshot`
+    #: reads.  A forked parent replays the delta; inline, the parent's
+    #: counters already moved.
+    counters: Dict[str, float] = field(default_factory=dict)
     #: Passive-DNS (record, at) replay log — populated in forked mode
     #: only; inline shards observe the parent feed directly.
     observations: List[Tuple[object, datetime]] = field(default_factory=list)
     #: Extraction-cache entries this shard added (forked mode only).
     new_html: Dict[str, Dict[str, object]] = field(default_factory=dict)
     new_sitemap: Dict[str, Tuple[int, int, Tuple[str, ...]]] = field(default_factory=dict)
-    cache_hits: int = 0
-    cache_misses: int = 0
     #: Fresh :class:`TouchEntry` proofs minted by this shard's touch
     #: markers (incremental mode only).  Plain data, so they survive
     #: the pickle pipe; the parent installs them into the monitor's
@@ -210,13 +197,81 @@ class ShardResult:
     #: Peak RSS of the worker process in KiB (forked mode: the child's
     #: own peak; inline: the parent's, so only max-merged, never summed).
     peak_rss_kb: int = 0
-    fused: bool = False
     #: Shard-local observability, shipped home in forked mode only:
     #: the child's :class:`MetricsRegistry` (merged associatively by
     #: the parent) and its buffered trace events (replayed in shard
     #: order).  ``None``/empty while observability is off or inline.
     metrics: Optional[MetricsRegistry] = None
     trace_events: List[dict] = field(default_factory=list)
+
+
+#: Key prefix of the per-kind injected-fault counts in a counter dict.
+_INJECTED = "injected."
+
+
+def _counter_cells(monitor: WeeklyMonitor, cache: Optional[ExtractionCache]):
+    """``(key, owner, attribute)`` of every scalar counter a shard moves."""
+    client = monitor.client
+    cells = [
+        ("samples", monitor, "samples_taken"),
+        ("sitemap_fetches", monitor, "sitemap_fetches"),
+        ("retries", client, "retries_total"),
+        ("backoff_seconds", client, "backoff_seconds_total"),
+    ]
+    if client.breaker is not None:
+        cells.append(("breaker_trips", client.breaker, "trips"))
+    if cache is not None:
+        cells.append(("cache_hits", cache, "hits"))
+        cells.append(("cache_misses", cache, "misses"))
+    return cells
+
+
+def counter_snapshot(
+    monitor: WeeklyMonitor, cache: Optional[ExtractionCache]
+) -> Dict[str, float]:
+    """Every counter a shard moves, read into one flat dict.
+
+    Monitor samples and sitemap fetches, client retries and backoff,
+    breaker trips, injected faults by kind, and extraction-cache hits
+    and misses.  These are plain attributes, not registry series: the
+    observability registry is off unless tracing, and every run needs
+    them.  A shard's delta is ``add_counters(after, before, -1)``.
+    """
+    counters = {
+        key: getattr(owner, attr) for key, owner, attr in _counter_cells(monitor, cache)
+    }
+    plan = monitor.client.fault_plan
+    if plan is not None:
+        for kind, count in plan.stats.injected.items():
+            counters[_INJECTED + kind] = count
+    return counters
+
+
+def add_counters(
+    left: Dict[str, float], right: Dict[str, float], sign: int = 1
+) -> Dict[str, float]:
+    """Key-wise ``left + sign * right``."""
+    total = dict(left)
+    for key, value in right.items():
+        total[key] = total.get(key, 0) + sign * value
+    return total
+
+
+def write_counters(
+    monitor: WeeklyMonitor,
+    cache: Optional[ExtractionCache],
+    counters: Dict[str, float],
+) -> None:
+    """Set the live counters to a :func:`counter_snapshot`-shaped dict."""
+    for key, owner, attr in _counter_cells(monitor, cache):
+        setattr(owner, attr, counters[key])
+    plan = monitor.client.fault_plan
+    if plan is not None:
+        injected = plan.stats.injected
+        injected.clear()
+        for key, count in counters.items():
+            if key.startswith(_INJECTED):
+                injected[key[len(_INJECTED):]] = count
 
 
 class _RecordingPassiveDNS:
@@ -289,40 +344,22 @@ def run_shard(
     the parent, and new extraction-cache entries are collected for
     shipping; inline mode mutates the parent's feed/cache directly.
     """
-    client = monitor.client
-    resolver = client.resolver
-    plan = client.fault_plan
+    resolver = monitor.client.resolver
     started = time.perf_counter()
     cpu0 = cpu_seconds_now()
-    samples0 = monitor.samples_taken
-    sitemap0 = monitor.sitemap_fetches
-    retries0 = client.retries_total
-    backoff0 = client.backoff_seconds_total
-    trips0 = client.breaker.trips if client.breaker is not None else 0
-    injected0 = dict(plan.stats.injected) if plan is not None else {}
+    counters0 = counter_snapshot(monitor, cache)
     previous_cache = monitor.extraction_cache
     monitor.extraction_cache = cache
-    hits0 = cache.hits if cache is not None else 0
-    misses0 = cache.misses if cache is not None else 0
     html_keys0 = set(cache.html) if (forked and cache is not None) else set()
     sitemap_keys0 = set(cache.sitemap) if (forked and cache is not None) else set()
     recorder = None
     if forked and resolver.passive_dns is not None:
         recorder = _RecordingPassiveDNS(resolver.passive_dns)
         resolver.passive_dns = recorder
-    obs_parent = None
-    if forked and OBS.enabled:
-        # The child's counters and spans die with it, like every other
-        # mutation: swap in a fresh registry and a buffer tracer for
-        # the shard's duration and ship both home in the result.
-        obs_parent = (OBS.metrics, OBS.tracer)
-        OBS.metrics = MetricsRegistry()
-        OBS.tracer = OBS.tracer.fork_buffer()
 
     result = ShardResult(index=index, size=len(fqdns))
     try:
         fused = fast_path_eligible(monitor)
-        result.fused = fused
         obs_on = OBS.enabled
         if obs_on:
             OBS.metrics.inc(
@@ -387,34 +424,17 @@ def run_shard(
         monitor.extraction_cache = previous_cache
         if recorder is not None:
             resolver.passive_dns = recorder._inner
-        if obs_parent is not None:
-            result.metrics = OBS.metrics
-            result.trace_events = getattr(OBS.tracer, "events", [])
-            OBS.metrics, OBS.tracer = obs_parent
 
-    result.samples_taken = monitor.samples_taken - samples0
-    result.sitemap_fetches = monitor.sitemap_fetches - sitemap0
-    result.retries = client.retries_total - retries0
-    result.backoff_seconds = client.backoff_seconds_total - backoff0
-    if client.breaker is not None:
-        result.breaker_trips = client.breaker.trips - trips0
-    if plan is not None:
-        for kind, count in plan.stats.injected.items():
-            delta = count - injected0.get(kind, 0)
-            if delta:
-                result.injected[kind] = delta
+    result.counters = add_counters(counter_snapshot(monitor, cache), counters0, -1)
     if recorder is not None:
         result.observations = recorder.log
-    if cache is not None:
-        result.cache_hits = cache.hits - hits0
-        result.cache_misses = cache.misses - misses0
-        if forked:
-            result.new_html = {
-                key: cache.html[key] for key in cache.html.keys() - html_keys0
-            }
-            result.new_sitemap = {
-                key: cache.sitemap[key] for key in cache.sitemap.keys() - sitemap_keys0
-            }
+    if forked and cache is not None:
+        result.new_html = {
+            key: cache.html[key] for key in cache.html.keys() - html_keys0
+        }
+        result.new_sitemap = {
+            key: cache.sitemap[key] for key in cache.sitemap.keys() - sitemap_keys0
+        }
     result.wall_seconds = time.perf_counter() - started
     result.cpu_seconds = cpu_seconds_now() - cpu0
     result.peak_rss_kb = peak_rss_kb()
@@ -573,30 +593,7 @@ def _sample_fused(
     return features
 
 
-# -- fork plumbing ---------------------------------------------------------
-
-
-def fork_available() -> bool:
-    return hasattr(os, "fork")
-
-
-def _write_all(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        written = os.write(fd, view)
-        view = view[written:]
-
-
-def _read_exact(fd: int, length: int) -> bytes:
-    chunks: List[bytes] = []
-    remaining = length
-    while remaining:
-        chunk = os.read(fd, min(remaining, 1 << 20))
-        if not chunk:
-            raise RuntimeError("shard worker closed its pipe before reporting")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+# -- shard identity -------------------------------------------------------
 
 
 def shard_bounds(shards: Sequence[Sequence[Name]]) -> List[Tuple[int, int]]:
@@ -618,97 +615,3 @@ def shard_ident(index: int, bounds: Tuple[int, int]) -> str:
     """Human-actionable shard identity for worker error messages."""
     start, end = bounds
     return f"shard {index} (names[{start}:{end}], {end - start} FQDNs)"
-
-
-def fork_with_pipe() -> Tuple[int, int, int]:
-    """Fork with a result pipe, leaking nothing on failure.
-
-    Returns ``(pid, read_fd, write_fd)``.  If ``os.fork`` raises —
-    EAGAIN under pid pressure, ENOMEM — both pipe ends are closed
-    before the exception propagates, so a failed spawn can't bleed
-    file descriptors across a long campaign.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    return pid, read_fd, write_fd
-
-
-def run_shards_forked(
-    monitor: WeeklyMonitor,
-    shards: List[List[Name]],
-    at: datetime,
-    cache: Optional[ExtractionCache],
-) -> List[ShardResult]:
-    """Run every shard in its own forked worker; results in shard order.
-
-    Each child samples its slice against the copy-on-write world and
-    ships one length-prefixed pickle back over a pipe, then exits with
-    ``os._exit`` so no parent state (buffers, atexit hooks) replays.
-    The parent drains pipes in shard order and reaps every child before
-    surfacing any worker error.
-
-    This is the *unsupervised* protocol: any worker failure aborts the
-    sweep.  :func:`repro.parallel.supervisor.run_shards_supervised`
-    wraps the same child protocol with deadlines, re-dispatch and
-    poison bisection.
-    """
-    bounds = shard_bounds(shards)
-    children: List[Tuple[int, int]] = []
-    for index, shard in enumerate(shards):
-        pid, read_fd, write_fd = fork_with_pipe()
-        if pid == 0:
-            os.close(read_fd)
-            exit_code = 0
-            try:
-                try:
-                    result = run_shard(monitor, index, shard, at, cache, forked=True)
-                    payload = pickle.dumps(
-                        ("ok", result), protocol=pickle.HIGHEST_PROTOCOL
-                    )
-                except BaseException:
-                    payload = pickle.dumps(
-                        (
-                            "err",
-                            f"{shard_ident(index, bounds[index])}:\n"
-                            f"{traceback.format_exc()}",
-                        ),
-                        protocol=pickle.HIGHEST_PROTOCOL,
-                    )
-                _write_all(write_fd, struct.pack("<Q", len(payload)) + payload)
-                os.close(write_fd)
-            except BaseException:
-                exit_code = 1
-            os._exit(exit_code)
-        os.close(write_fd)
-        children.append((pid, read_fd))
-
-    results: List[ShardResult] = []
-    errors: List[str] = []
-    for index, (pid, read_fd) in enumerate(children):
-        payload = None
-        try:
-            header = _read_exact(read_fd, 8)
-            (length,) = struct.unpack("<Q", header)
-            payload = _read_exact(read_fd, length)
-        except Exception as error:
-            errors.append(
-                f"{shard_ident(index, bounds[index])} worker pid {pid}: {error}"
-            )
-        finally:
-            os.close(read_fd)
-            os.waitpid(pid, 0)
-        if payload is None:
-            continue
-        kind, value = pickle.loads(payload)
-        if kind == "err":
-            errors.append(value)
-        else:
-            results.append(value)
-    if errors:
-        raise RuntimeError("sweep shard worker(s) failed:\n" + "\n".join(errors))
-    return results

@@ -1,10 +1,13 @@
-"""Self-healing supervision of the sharded sweep.
+"""Self-healing supervision of the sharded sweep, and the fork primitive.
 
-The unsupervised fork protocol (:func:`~repro.parallel.shard.run_shards_forked`)
-treats any worker failure as fatal: one SIGKILL'd child aborts the
-whole sweep, and a hung child blocks the parent forever in a blocking
-``waitpid``.  A three-year weekly campaign cannot work that way.  This
-module wraps the same child protocol with real failure handling:
+Every forked worker in the program — a sweep shard here, an analysis
+task in :mod:`repro.analysis.engine` — runs through :func:`spawn` and
+:func:`collect`.  The child swaps in a fresh metrics registry and
+buffer tracer, runs one callable, and ships its value home with both
+as one length-prefixed pickle; the parent gets that value back, or a
+:class:`WorkerFailure` saying how the worker failed.  A three-year
+weekly campaign cannot let one dead worker abort a sweep, so on top of
+that primitive this module adds real failure handling:
 
 * **deadlines** — each worker gets a wall-clock budget; the parent
   drains its pipe through ``select`` with a timeout and reaps expired
@@ -46,34 +49,257 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.monitoring import ExtractionCache, WeeklyMonitor
 from repro.dns.names import Name
-from repro.obs import OBS
+from repro.obs import OBS, MetricsRegistry
 from repro.parallel.shard import (
     ShardResult,
-    _write_all,
-    fork_with_pipe,
+    add_counters,
+    counter_snapshot,
     run_shard,
     shard_bounds,
     shard_ident,
+    write_counters,
 )
 
 _LENGTH = struct.Struct("<Q")
 
 
 class WorkerFailure(Exception):
-    """One span attempt failed; ``kind`` classifies how.
+    """One worker attempt failed; ``kind`` classifies how.
 
     ``kind`` is ``"crash"`` (death by signal / nonzero exit / truncated
     or corrupt payload), ``"hang"`` (deadline expired) or ``"error"``
-    (the worker itself reported a sampling exception).
+    (the worker itself reported an exception, or a value it could not
+    pickle).
     """
 
     def __init__(self, reason: str, kind: str = "crash"):
         super().__init__(reason)
         self.kind = kind
+
+
+# -- the fork primitive ----------------------------------------------------
+
+
+def fork_available() -> bool:
+    return hasattr(os, "fork")
+
+
+def fork_with_pipe() -> Tuple[int, int, int]:
+    """Fork with a result pipe, leaking nothing on failure.
+
+    Returns ``(pid, read_fd, write_fd)``.  If ``os.fork`` raises —
+    EAGAIN under pid pressure, ENOMEM — both pipe ends are closed
+    before the exception propagates, so a failed spawn can't bleed
+    file descriptors across a long campaign.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    return pid, read_fd, write_fd
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        written = os.write(fd, view)
+        view = view[written:]
+
+
+def _send_payload(write_fd: int, payload: bytes) -> None:
+    """Child-side result send (module-level so tests can interpose)."""
+    _write_all(write_fd, _LENGTH.pack(len(payload)) + payload)
+
+
+def _frame(kind: str, value: object) -> bytes:
+    """One result frame: the value plus the child's observability.
+
+    Metrics-only configurations leave the null tracer (which buffers
+    nothing) installed, hence the ``events`` fallback.
+    """
+    registry = OBS.metrics if OBS.enabled else None
+    events = getattr(OBS.tracer, "events", []) if OBS.enabled else []
+    return pickle.dumps(
+        (kind, value, registry, events), protocol=pickle.HIGHEST_PROTOCOL
+    )
+
+
+@dataclass
+class Worker:
+    """Parent-side handle on one forked child."""
+
+    pid: int
+    read_fd: int
+    started: float
+    #: What the child works on (a shard identity, an analysis task);
+    #: every failure reason starts with it.
+    ident: str
+
+
+def spawn(work: Callable[[], object], ident: str) -> Worker:
+    """Fork a child that runs ``work()`` and ships its value home.
+
+    The child's counters and spans would die with it, so it swaps in a
+    fresh :class:`MetricsRegistry` and a buffer tracer first and sends
+    both with the value.  An exception from ``work`` — or a value that
+    cannot be pickled — goes home as an error frame naming ``ident``.
+    The child leaves through ``os._exit``, so no parent state (buffers,
+    atexit hooks) replays.
+    """
+    pid, read_fd, write_fd = fork_with_pipe()
+    if pid == 0:
+        os.close(read_fd)
+        exit_code = 0
+        try:
+            if OBS.enabled:
+                OBS.metrics = MetricsRegistry()
+                OBS.tracer = OBS.tracer.fork_buffer()
+            try:
+                value = work()
+            except Exception:
+                payload = _frame("err", f"{ident}:\n{traceback.format_exc()}")
+            else:
+                try:
+                    payload = _frame("ok", value)
+                except Exception as error:
+                    payload = _frame(
+                        "err",
+                        f"{ident}: result cannot be pickled: "
+                        f"{type(error).__name__}: {error}",
+                    )
+            _send_payload(write_fd, payload)
+            os.close(write_fd)
+        except BaseException:
+            exit_code = 1
+        os._exit(exit_code)
+    os.close(write_fd)
+    return Worker(pid=pid, read_fd=read_fd, started=time.monotonic(), ident=ident)
+
+
+def collect(
+    worker: Worker, timeout: Optional[float] = None, reap_grace: float = 2.0
+) -> Tuple[object, Optional[MetricsRegistry], List[dict]]:
+    """Drain one worker's pipe within ``timeout`` seconds of its fork.
+
+    Returns ``(value, registry, events)`` — the child's value and the
+    observability it shipped (``None``/empty while observability is
+    off) — or raises :class:`WorkerFailure`.  The read loop is
+    ``select``-driven so a silent worker costs at most the remaining
+    deadline (``None`` waits indefinitely; death is still seen as pipe
+    EOF), and the worker is *always* reaped.  A worker that sent its
+    whole frame has only ``os._exit`` left, so a blocking wait reaps it
+    as soon as it exits; one that failed first is reaped by the
+    ``WNOHANG`` poll loop, with SIGKILL on expiry.
+    """
+    ident = f"{worker.ident} worker pid {worker.pid}"
+    deadline = worker.started + timeout if timeout is not None else None
+    buffer = bytearray()
+    length: Optional[int] = None
+    try:
+        while True:
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    _kill(worker.pid)
+                    status = _reap(worker.pid, reap_grace)
+                    raise WorkerFailure(
+                        f"{ident}: no result within the {timeout:g}s deadline; "
+                        f"killed ({_describe_exit(status)})",
+                        kind="hang",
+                    )
+            else:
+                remaining = None
+            try:
+                ready, _, _ = select.select([worker.read_fd], [], [], remaining)
+            except OSError as error:  # pragma: no cover - EINTR on old kernels
+                if error.errno == errno.EINTR:
+                    continue
+                raise
+            if not ready:
+                continue
+            chunk = os.read(worker.read_fd, 1 << 20)
+            if not chunk:
+                status = _reap(worker.pid, reap_grace)
+                raise WorkerFailure(
+                    f"{ident}: {_describe_exit(status)} after sending "
+                    f"{len(buffer)} of "
+                    f"{'?' if length is None else length + _LENGTH.size} "
+                    f"result bytes",
+                    kind="crash",
+                )
+            buffer.extend(chunk)
+            if length is None and len(buffer) >= _LENGTH.size:
+                (length,) = _LENGTH.unpack_from(buffer)
+            if length is not None and len(buffer) >= _LENGTH.size + length:
+                break
+    finally:
+        os.close(worker.read_fd)
+    os.waitpid(worker.pid, 0)
+    try:
+        kind, value, registry, events = pickle.loads(
+            bytes(buffer[_LENGTH.size:_LENGTH.size + length])
+        )
+    except Exception as error:
+        raise WorkerFailure(f"{ident}: corrupt result payload ({error})", kind="crash")
+    if kind == "err":
+        raise WorkerFailure(str(value), kind="error")
+    return value, registry, events
+
+
+def absorb(registry: Optional[MetricsRegistry], events: List[dict]) -> None:
+    """Fold what one child shipped home into this process's observability."""
+    if registry is not None and OBS.enabled:
+        OBS.metrics.merge_from(registry)
+    if events:
+        OBS.tracer.replay(events)
+
+
+def _describe_exit(status: int) -> str:
+    if os.WIFSIGNALED(status):
+        return f"killed by signal {os.WTERMSIG(status)}"
+    if os.WIFEXITED(status):
+        code = os.WEXITSTATUS(status)
+        return f"exited {code}" if code else "exited 0"
+    return f"wait status {status}"  # pragma: no cover - stopped/continued
+
+
+def _reap(pid: int, grace: float) -> int:
+    """Non-blocking reap: ``WNOHANG`` poll, then SIGKILL escalation.
+
+    Never blocks on a child that refuses to die: after ``grace``
+    seconds of polling, the child is SIGKILL'd and the wait repeats
+    (SIGKILL is not maskable, so this terminates).
+    """
+    deadline = time.monotonic() + grace
+    killed = False
+    while True:
+        try:
+            done, status = os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            return 0
+        if done == pid:
+            return status
+        if not killed and time.monotonic() >= deadline:
+            _kill(pid)
+            killed = True
+        time.sleep(0.005)
+
+
+def _kill(pid: int) -> None:
+    try:
+        os.kill(pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+
+
+# -- sweep supervision -----------------------------------------------------
 
 
 @dataclass
@@ -124,60 +350,6 @@ class SupervisedSweep:
     shard_retries: int = 0
 
 
-@dataclass
-class _Worker:
-    """Parent-side handle on one forked span attempt."""
-
-    pid: int
-    read_fd: int
-    started: float
-    index: int
-    bounds: Tuple[int, int]
-
-
-def _describe_exit(status: int) -> str:
-    if os.WIFSIGNALED(status):
-        return f"killed by signal {os.WTERMSIG(status)}"
-    if os.WIFEXITED(status):
-        code = os.WEXITSTATUS(status)
-        return f"exited {code}" if code else "exited 0"
-    return f"wait status {status}"  # pragma: no cover - stopped/continued
-
-
-def _reap(pid: int, grace: float) -> int:
-    """Non-blocking reap: ``WNOHANG`` poll, then SIGKILL escalation.
-
-    Never blocks the sweep on a child that refuses to die: after
-    ``grace`` seconds of polling, the child is SIGKILL'd and the wait
-    repeats (SIGKILL is not maskable, so this terminates).
-    """
-    deadline = time.monotonic() + grace
-    killed = False
-    while True:
-        try:
-            done, status = os.waitpid(pid, os.WNOHANG)
-        except ChildProcessError:
-            return 0
-        if done == pid:
-            return status
-        if not killed and time.monotonic() >= deadline:
-            _kill(pid)
-            killed = True
-        time.sleep(0.005)
-
-
-def _kill(pid: int) -> None:
-    try:
-        os.kill(pid, signal.SIGKILL)
-    except ProcessLookupError:
-        pass
-
-
-def _send_payload(write_fd: int, payload: bytes) -> None:
-    """Child-side result send (module-level so tests can interpose)."""
-    _write_all(write_fd, _LENGTH.pack(len(payload)) + payload)
-
-
 def _simulate_worker_fault(fault: Optional[str], plan, fqdns: Sequence[Name]) -> None:
     """Act out an injected process fault *inside the forked child*.
 
@@ -195,112 +367,6 @@ def _simulate_worker_fault(fault: Optional[str], plan, fqdns: Sequence[Name]) ->
             time.sleep(0.05)
 
 
-def _spawn(
-    monitor: WeeklyMonitor,
-    index: int,
-    fqdns: Sequence[Name],
-    bounds: Tuple[int, int],
-    at: datetime,
-    cache: Optional[ExtractionCache],
-    fault: Optional[str],
-) -> _Worker:
-    """Fork one span attempt; the child never returns."""
-    pid, read_fd, write_fd = fork_with_pipe()
-    if pid == 0:
-        os.close(read_fd)
-        exit_code = 0
-        try:
-            _simulate_worker_fault(fault, monitor.client.fault_plan, fqdns)
-            try:
-                result = run_shard(monitor, index, fqdns, at, cache, forked=True)
-                payload = pickle.dumps(
-                    ("ok", result), protocol=pickle.HIGHEST_PROTOCOL
-                )
-            except BaseException:
-                payload = pickle.dumps(
-                    (
-                        "err",
-                        f"{shard_ident(index, bounds)}:\n{traceback.format_exc()}",
-                    ),
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-            _send_payload(write_fd, payload)
-            os.close(write_fd)
-        except BaseException:
-            exit_code = 1
-        os._exit(exit_code)
-    os.close(write_fd)
-    return _Worker(
-        pid=pid, read_fd=read_fd, started=time.monotonic(), index=index,
-        bounds=bounds,
-    )
-
-
-def _collect(worker: _Worker, config: SupervisorConfig) -> ShardResult:
-    """Drain one worker's pipe within its deadline; raise on failure.
-
-    The read loop is ``select``-driven so a silent worker costs at most
-    the remaining deadline, and the worker is *always* reaped — by the
-    ``WNOHANG`` poll loop on the happy path, by SIGKILL on expiry.
-    """
-    ident = f"{shard_ident(worker.index, worker.bounds)} worker pid {worker.pid}"
-    deadline = (
-        worker.started + config.shard_deadline
-        if config.shard_deadline is not None
-        else None
-    )
-    buffer = bytearray()
-    length: Optional[int] = None
-    try:
-        while True:
-            if deadline is not None:
-                timeout = deadline - time.monotonic()
-                if timeout <= 0:
-                    _kill(worker.pid)
-                    status = _reap(worker.pid, config.reap_grace)
-                    raise WorkerFailure(
-                        f"{ident}: no result within the "
-                        f"{config.shard_deadline:g}s deadline; "
-                        f"killed ({_describe_exit(status)})",
-                        kind="hang",
-                    )
-            else:
-                timeout = None
-            try:
-                ready, _, _ = select.select([worker.read_fd], [], [], timeout)
-            except OSError as error:  # pragma: no cover - EINTR on old kernels
-                if error.errno == errno.EINTR:
-                    continue
-                raise
-            if not ready:
-                continue
-            chunk = os.read(worker.read_fd, 1 << 20)
-            if not chunk:
-                status = _reap(worker.pid, config.reap_grace)
-                raise WorkerFailure(
-                    f"{ident}: {_describe_exit(status)} after sending "
-                    f"{len(buffer)} of "
-                    f"{'?' if length is None else length + _LENGTH.size} "
-                    f"result bytes",
-                    kind="crash",
-                )
-            buffer.extend(chunk)
-            if length is None and len(buffer) >= _LENGTH.size:
-                (length,) = _LENGTH.unpack_from(buffer)
-            if length is not None and len(buffer) >= _LENGTH.size + length:
-                break
-    finally:
-        os.close(worker.read_fd)
-    _reap(worker.pid, config.reap_grace)
-    try:
-        kind, value = pickle.loads(bytes(buffer[_LENGTH.size:_LENGTH.size + length]))
-    except Exception as error:
-        raise WorkerFailure(f"{ident}: corrupt result payload ({error})", kind="crash")
-    if kind == "err":
-        raise WorkerFailure(str(value), kind="error")
-    return value
-
-
 def _run_inline(
     monitor: WeeklyMonitor,
     index: int,
@@ -313,11 +379,12 @@ def _run_inline(
     """One span attempt without fork (single CPU / no ``os.fork``).
 
     Injected faults raise *before* any sampling, so a simulated failed
-    attempt has zero parent-state side effects; a genuine mid-sample
-    exception additionally rolls the monitor/client counters back to
-    their pre-attempt values (best effort — the data it mutated on the
-    way down is exactly what a real crashed inline process would have
-    lost anyway).
+    attempt has zero parent-state side effects.  A genuine mid-sample
+    exception writes back every counter in the pre-attempt
+    :func:`~repro.parallel.shard.counter_snapshot`, so the attempt
+    leaves the counters where a failed forked attempt (whose deltas die
+    with its worker) leaves them.  Its other effects on the parent —
+    new extraction-cache entries, passive-DNS observations — stay.
     """
     plan = monitor.client.fault_plan
     ident = shard_ident(index, bounds)
@@ -329,22 +396,11 @@ def _run_inline(
         raise WorkerFailure(
             f"{ident}: worker hung; reaped at deadline (inline)", kind="hang"
         )
-    client = monitor.client
-    snapshot = (
-        monitor.samples_taken,
-        monitor.sitemap_fetches,
-        client.retries_total,
-        client.backoff_seconds_total,
-    )
+    before = counter_snapshot(monitor, cache)
     try:
         return run_shard(monitor, index, fqdns, at, cache, forked=False)
     except Exception:
-        (
-            monitor.samples_taken,
-            monitor.sitemap_fetches,
-            client.retries_total,
-            client.backoff_seconds_total,
-        ) = snapshot
+        write_counters(monitor, cache, before)
         raise WorkerFailure(
             f"{ident}:\n{traceback.format_exc()}", kind="error"
         )
@@ -355,36 +411,22 @@ def _combine(left: ShardResult, right: ShardResult) -> ShardResult:
     merged = ShardResult(index=left.index, size=left.size + right.size)
     merged.sampled = left.sampled + right.sampled
     merged.failures = left.failures + right.failures
-    merged.samples_taken = left.samples_taken + right.samples_taken
-    merged.sitemap_fetches = left.sitemap_fetches + right.sitemap_fetches
-    merged.retries = left.retries + right.retries
-    merged.backoff_seconds = left.backoff_seconds + right.backoff_seconds
-    merged.breaker_trips = left.breaker_trips + right.breaker_trips
-    merged.injected = dict(left.injected)
-    for kind, count in right.injected.items():
-        merged.injected[kind] = merged.injected.get(kind, 0) + count
+    merged.counters = add_counters(left.counters, right.counters)
     merged.observations = left.observations + right.observations
     merged.new_html = {**left.new_html, **right.new_html}
     merged.new_sitemap = {**left.new_sitemap, **right.new_sitemap}
-    merged.cache_hits = left.cache_hits + right.cache_hits
-    merged.cache_misses = left.cache_misses + right.cache_misses
     merged.ledger_entries = {**left.ledger_entries, **right.ledger_entries}
     merged.wall_seconds = left.wall_seconds + right.wall_seconds
     # Bisected halves ran sequentially in separate workers: CPU sums,
     # peak RSS is whichever half's process grew larger.
     merged.cpu_seconds = left.cpu_seconds + right.cpu_seconds
     merged.peak_rss_kb = max(left.peak_rss_kb, right.peak_rss_kb)
-    merged.fused = left.fused and right.fused
     if left.metrics is not None and right.metrics is not None:
         merged.metrics = left.metrics.merge(right.metrics)
     else:
         merged.metrics = left.metrics if left.metrics is not None else right.metrics
     merged.trace_events = left.trace_events + right.trace_events
     return merged
-
-
-def _empty_result(index: int, size: int) -> ShardResult:
-    return ShardResult(index=index, size=size)
 
 
 class ShardSupervisor:
@@ -425,6 +467,29 @@ class ShardSupervisor:
 
     # -- span execution ---------------------------------------------------
 
+    def _fork(
+        self,
+        index: int,
+        fqdns: Sequence[Name],
+        bounds: Tuple[int, int],
+        fault: Optional[str],
+    ) -> Worker:
+        """Fork one span attempt on the shared primitive."""
+
+        def work() -> ShardResult:
+            _simulate_worker_fault(fault, self.plan, fqdns)
+            return run_shard(self.monitor, index, fqdns, self.at, self.cache, forked=True)
+
+        return spawn(work, shard_ident(index, bounds))
+
+    def _collect(self, worker: Worker) -> ShardResult:
+        result, registry, events = collect(
+            worker, self.config.shard_deadline, self.config.reap_grace
+        )
+        result.metrics = registry
+        result.trace_events = events
+        return result
+
     def _attempt(
         self,
         index: int,
@@ -433,10 +498,7 @@ class ShardSupervisor:
         fault: Optional[str],
     ) -> ShardResult:
         if self.forked:
-            worker = _spawn(
-                self.monitor, index, fqdns, bounds, self.at, self.cache, fault
-            )
-            return _collect(worker, self.config)
+            return self._collect(self._fork(index, fqdns, bounds, fault))
         return _run_inline(
             self.monitor, index, fqdns, bounds, self.at, self.cache, fault
         )
@@ -486,7 +548,7 @@ class ShardSupervisor:
             )
             if OBS.enabled:
                 OBS.metrics.inc("supervisor.poison_quarantined")
-            return _empty_result(index, len(fqdns))
+            return ShardResult(index=index, size=len(fqdns))
         mid = len(fqdns) // 2
         start, end = bounds
         with OBS.tracer.span(
@@ -507,13 +569,12 @@ def run_shards_supervised(
 ) -> SupervisedSweep:
     """Run every shard under supervision; results in shard order.
 
-    In ``forked`` mode all top-level spans launch concurrently (as the
-    unsupervised protocol does) and are drained in shard order;
-    recovery of any failed span — re-dispatch, then bisection — runs
-    sequentially, which keeps the fault-stream draw order, and thus the
-    whole storm, deterministic.  With ``forked=False`` every span runs
-    inline with identical retry/bisect semantics (injected faults are
-    raised instead of signalled).
+    In ``forked`` mode all top-level spans launch concurrently and are
+    drained in shard order; recovery of any failed span — re-dispatch,
+    then bisection — runs sequentially, which keeps the fault-stream
+    draw order, and thus the whole storm, deterministic.  With
+    ``forked=False`` every span runs inline with identical retry/bisect
+    semantics (injected faults are raised instead of signalled).
     """
     config = config if config is not None else SupervisorConfig()
     supervisor = ShardSupervisor(monitor, at, cache, config, forked)
@@ -523,15 +584,13 @@ def run_shards_supervised(
         for index, shard in enumerate(shards):
             outcome.results.append(supervisor.run_span(index, shard, bounds[index]))
         return outcome
-    workers: List[Tuple[int, _Worker]] = []
-    for index, shard in enumerate(shards):
-        fault = supervisor._draw_fault(index)
-        workers.append(
-            (index, _spawn(monitor, index, shard, bounds[index], at, cache, fault))
-        )
-    for index, worker in workers:
+    workers = [
+        supervisor._fork(index, shard, bounds[index], supervisor._draw_fault(index))
+        for index, shard in enumerate(shards)
+    ]
+    for index, worker in enumerate(workers):
         try:
-            outcome.results.append(_collect(worker, config))
+            outcome.results.append(supervisor._collect(worker))
         except WorkerFailure as failure:
             supervisor._note_failure(failure)
             outcome.results.append(

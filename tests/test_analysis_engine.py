@@ -7,6 +7,7 @@ import dataclasses
 import json
 import os
 import random
+import signal
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 from types import SimpleNamespace
@@ -38,6 +39,7 @@ from repro.core.seo_analysis import (
     _referral_code,
 )
 from repro.obs import OBS, MetricsRegistry
+from repro.parallel import supervisor as supervisor_module
 from repro.web.html import parse_html
 
 T0 = datetime(2020, 3, 2)
@@ -131,15 +133,46 @@ def test_engine_isolates_task_failure_and_skips_downstream(workers):
     assert run.payload("other") == 42
 
 
-def test_engine_pool_survives_worker_death():
+def _assert_pool_survives(die):
     registry = AnalysisRegistry([
-        AnalysisTask("die", lambda result, deps: os._exit(3)),
+        AnalysisTask("die", die),
         AnalysisTask("live", lambda result, deps: "ok"),
     ])
     run = run_analyses(SimpleNamespace(), registry=registry, workers=2)
     dead = run.outcome("die")
     assert not dead.ok and "AnalysisWorkerDied" in dead.error
+    assert "analysis task 'die'" in dead.error
     assert run.payload("live") == "ok"
+
+
+def test_engine_pool_survives_worker_death():
+    _assert_pool_survives(lambda result, deps: os._exit(3))
+
+
+def test_engine_pool_survives_worker_killed_by_signal():
+    _assert_pool_survives(lambda result, deps: os.kill(os.getpid(), signal.SIGKILL))
+
+
+def test_engine_pool_survives_truncated_result_frame(monkeypatch):
+    real_send = supervisor_module._send_payload
+    in_doomed_child = []
+
+    def doomed(result, deps):
+        in_doomed_child.append(True)  # lands in this child's copy only
+        return "never arrives whole"
+
+    def truncating_send(write_fd, payload):
+        if not in_doomed_child:
+            return real_send(write_fd, payload)
+        # Half the frame, then death: the parent sees a short read.
+        supervisor_module._write_all(
+            write_fd,
+            supervisor_module._LENGTH.pack(len(payload)) + payload[: len(payload) // 2],
+        )
+        os._exit(0)
+
+    monkeypatch.setattr(supervisor_module, "_send_payload", truncating_send)
+    _assert_pool_survives(doomed)
 
 
 def test_engine_pool_degrades_unpicklable_payload():

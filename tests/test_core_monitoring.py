@@ -300,10 +300,6 @@ def test_sweep_iter_failure_sink_is_per_call():
     batches = list(monitor.sweep_iter([bad], T0, failures=mine))
     assert batches == [[]]
     assert mine == [(bad, "connection-reset")]
-    # The compat view still aliases the caller's sink, but using it now
-    # warns: the per-call sink is the supported interface.
-    with pytest.warns(DeprecationWarning):
-        assert monitor.last_sweep_failures is mine
 
 
 def test_interleaved_sweeps_do_not_clobber_failure_lists():

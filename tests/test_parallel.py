@@ -3,7 +3,8 @@
 Covers the determinism contract (a fault-free sharded run is
 byte-identical to the serial baseline, fork or no fork), the fused
 sampling path's feature parity with ``WeeklyMonitor.sample``, the
-partition/merge algebra, and the extraction cache.
+partition/merge algebra, the shard counter channel, and the extraction
+cache.
 """
 
 from datetime import datetime, timedelta
@@ -25,11 +26,16 @@ from repro.faults.retry import CircuitBreaker, RetryPolicy
 from repro.parallel import (
     ProcessExecutor,
     SerialExecutor,
-    SweepReport,
     fast_path_eligible,
     partition,
 )
-from repro.parallel.shard import _sample_fused, run_shard
+from repro.parallel.shard import (
+    _sample_fused,
+    add_counters,
+    counter_snapshot,
+    run_shard,
+    write_counters,
+)
 from repro.pipeline.metrics import PipelineMetrics, StageMetrics
 from repro.sim.clock import SimClock
 from repro.sim.rng import RngStreams
@@ -62,61 +68,6 @@ def test_partition_rejects_bad_shard_count():
 # -- merge algebra ---------------------------------------------------------
 
 
-def _report(n):
-    return SweepReport(
-        failures=[(f"f{n}.example.com", "timeout")],
-        samples_taken=n,
-        sitemap_fetches=n * 2,
-        retries=n,
-        backoff_seconds=float(n),
-        breaker_trips=1,
-        injected={"dns_servfail": n},
-        cache_hits=n,
-        cache_misses=1,
-        workers=n,
-        mode="inline",
-        shard_sizes=[n],
-        shard_walls=[0.1 * n],
-    )
-
-
-def test_sweep_report_merge_is_associative():
-    a, b, c = _report(1), _report(2), _report(3)
-    left = a.merge(b).merge(c)
-    right = a.merge(b.merge(c))
-    assert left == right
-    assert left.samples_taken == 6
-    assert left.injected == {"dns_servfail": 6}
-    assert left.failures == a.failures + b.failures + c.failures
-    assert left.workers == 3
-
-
-def test_sweep_report_merge_wall_is_max_and_cpu_is_sum():
-    # Regression: merge used to sum wall_seconds, so an N-shard sweep
-    # reported N-fold "elapsed" time.  Wall is elapsed (max under
-    # merge); cpu is the summed per-shard sampling time.
-    a, b = _report(1), _report(2)
-    a.wall_seconds, a.cpu_seconds = 2.0, 2.0
-    b.wall_seconds, b.cpu_seconds = 3.0, 3.0
-    merged = a.merge(b)
-    assert merged.wall_seconds == 3.0
-    assert merged.cpu_seconds == 5.0
-    # Still associative with the third report in either bracketing.
-    c = _report(3)
-    c.wall_seconds, c.cpu_seconds = 1.0, 1.0
-    left, right = a.merge(b).merge(c), a.merge(b.merge(c))
-    assert (left.wall_seconds, left.cpu_seconds) == (3.0, 6.0)
-    assert (right.wall_seconds, right.cpu_seconds) == (3.0, 6.0)
-
-
-def test_sweep_report_merge_marks_mixed_modes():
-    a = _report(1)
-    b = _report(2)
-    b.mode = "fork"
-    assert a.merge(b).mode == "mixed"
-    assert a.merge(_report(3)).mode == "inline"
-
-
 def test_stage_metrics_merge_sums_and_rejects_name_mismatch():
     a = StageMetrics(name="sweep", ticks=2, wall_time=1.0, items_processed=10)
     b = StageMetrics(name="sweep", ticks=3, wall_time=0.5, retries=1)
@@ -145,16 +96,40 @@ def test_pipeline_metrics_merge_is_associative():
     assert left.stage("sweep").items_processed == 6
 
 
-def test_extraction_cache_merge_folds_entries_and_counters():
-    a = ExtractionCache(html={"h1": {"title": "x"}}, hits=2, misses=1)
-    b = ExtractionCache(
-        html={"h2": {"title": "y"}}, sitemap={"s1": (10, 2, ("/a",))},
-        hits=1, misses=3,
+def test_shard_counter_delta_replays_onto_another_world():
+    def world():
+        internet = _internet()
+        internet.client.breaker = CircuitBreaker()
+        internet.client.fault_plan = FaultPlan.from_seed(FaultConfig.chaos(0.3), 7)
+        return WeeklyMonitor(internet.client), ExtractionCache()
+
+    child, child_cache = world()
+    before = counter_snapshot(child, child_cache)
+    child.samples_taken += 3
+    child.client.backoff_seconds_total += 1.5
+    child.client.breaker.trips += 1
+    child.client.fault_plan.stats.count("dns_servfail")
+    child_cache.hits += 2
+    delta = add_counters(counter_snapshot(child, child_cache), before, -1)
+    assert {k: v for k, v in delta.items() if v} == {
+        "samples": 3, "backoff_seconds": 1.5, "breaker_trips": 1,
+        "injected.dns_servfail": 1, "cache_hits": 2,
+    }
+    # Summing is key-wise; keys missing on one side count as zero.
+    assert add_counters(delta, {"samples": 2, "injected.http_503": 1}) == {
+        **delta, "samples": 5, "injected.http_503": 1,
+    }
+    # Replaying the delta onto an untouched twin reproduces the child.
+    parent, parent_cache = world()
+    write_counters(
+        parent, parent_cache,
+        add_counters(counter_snapshot(parent, parent_cache), delta),
     )
-    a.merge(b)
-    assert set(a.html) == {"h1", "h2"}
-    assert a.sitemap == {"s1": (10, 2, ("/a",))}
-    assert (a.hits, a.misses) == (3, 4)
+    assert counter_snapshot(parent, parent_cache) == counter_snapshot(child, child_cache)
+    # Writing the old snapshot back is an exact rollback.
+    write_counters(child, child_cache, before)
+    assert counter_snapshot(child, child_cache) == before
+    assert child.client.fault_plan.stats.injected == {}
 
 
 # -- fused path parity -----------------------------------------------------
@@ -279,11 +254,13 @@ def _sweep_all(executor, weeks=3, mutate=None):
     internet, fqdns = _monitored_world()
     monitor = WeeklyMonitor(internet.client)
     reports = []
+    counters = []
     at = T0
     for week in range(weeks):
         if mutate is not None:
             mutate(week, internet, fqdns)
         reports.append(executor.sweep(monitor, fqdns, at))
+        counters.append((monitor.samples_taken, monitor.sitemap_fetches))
         at += WEEK
     histories = {
         fqdn: [
@@ -292,22 +269,23 @@ def _sweep_all(executor, weeks=3, mutate=None):
         ]
         for fqdn in fqdns
     }
-    return reports, histories
+    return reports, counters, histories
 
 
 @pytest.mark.parametrize("workers,use_fork", [(1, False), (3, False), (3, True)])
 def test_process_executor_matches_serial_store_and_changes(workers, use_fork):
-    serial_reports, serial_hist = _sweep_all(SerialExecutor())
+    serial_reports, serial_counters, serial_hist = _sweep_all(SerialExecutor())
     proc = ProcessExecutor(workers=workers, use_fork=use_fork)
-    proc_reports, proc_hist = _sweep_all(proc)
+    proc_reports, proc_counters, proc_hist = _sweep_all(proc)
     assert proc_hist == serial_hist
+    # Week by week, the monitor's own counters (replayed from forked
+    # shards' deltas) match the serial sweep's.
+    assert proc_counters == serial_counters
     for ours, theirs in zip(proc_reports, serial_reports):
         assert [(c[0], c[1]) for c in ours.changed] == [
             (c[0], c[1]) for c in theirs.changed
         ]
         assert ours.failures == theirs.failures
-        assert ours.samples_taken == theirs.samples_taken
-        assert ours.sitemap_fetches == theirs.sitemap_fetches
 
 
 def test_forked_sweep_replays_counters_and_observations(tmp_path):
@@ -316,9 +294,8 @@ def test_forked_sweep_replays_counters_and_observations(tmp_path):
     feed = internet.resolver.passive_dns
     before = len(feed) if feed is not None else None
     executor = ProcessExecutor(workers=3, use_fork=True)
-    report = executor.sweep(monitor, fqdns, T0)
+    executor.sweep(monitor, fqdns, T0)
     assert executor.last_mode == "fork"
-    assert report.samples_taken == len(fqdns)
     assert monitor.samples_taken == len(fqdns)
     if before is not None:
         # Index + sitemap resolutions were replayed into the parent feed.

@@ -177,14 +177,20 @@ def _incremental_monitor(internet):
 
 
 def _run_weeks(internet, monitor, executor, fqdns, schedule, weeks):
-    """Sweep ``weeks`` times, applying ``schedule[week]`` mutations first."""
+    """Sweep ``weeks`` times, applying ``schedule[week]`` mutations first.
+
+    Returns each week's report and the monitor's sample count after it,
+    plus the final store histories.
+    """
     reports = []
+    samples = []
     at = T0
     for week in range(weeks):
         mutate = schedule.get(week)
         if mutate is not None:
             mutate(at)
         reports.append(executor.sweep(monitor, fqdns, at))
+        samples.append(monitor.samples_taken)
         at += WEEK
     histories = {
         fqdn: [
@@ -193,7 +199,7 @@ def _run_weeks(internet, monitor, executor, fqdns, schedule, weeks):
         ]
         for fqdn in fqdns
     }
-    return reports, histories
+    return reports, samples, histories
 
 
 def _executors():
@@ -212,7 +218,7 @@ def _parity_case(executor_kwargs, schedule_builder, weeks=6):
     _, incremental_resource, fqdn2 = _victim(incremental_net)
     assert fqdn == fqdn2
 
-    base_reports, base_hist = _run_weeks(
+    base_reports, base_samples, base_hist = _run_weeks(
         baseline_net,
         WeeklyMonitor(baseline_net.client),
         SerialExecutor(),
@@ -220,7 +226,7 @@ def _parity_case(executor_kwargs, schedule_builder, weeks=6):
         schedule_builder(baseline_net, baseline_resource),
         weeks,
     )
-    inc_reports, inc_hist = _run_weeks(
+    inc_reports, inc_samples, inc_hist = _run_weeks(
         incremental_net,
         _incremental_monitor(incremental_net),
         ProcessExecutor(**executor_kwargs),
@@ -229,11 +235,11 @@ def _parity_case(executor_kwargs, schedule_builder, weeks=6):
         weeks,
     )
     assert inc_hist == base_hist
+    assert inc_samples == base_samples
     for inc, base in zip(inc_reports, base_reports):
         assert [(c[0], c[1]) for c in inc.changed] == [
             (c[0], c[1]) for c in base.changed
         ]
-        assert inc.samples_taken == base.samples_taken
     return inc_hist[fqdn]
 
 

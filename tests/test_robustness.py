@@ -124,7 +124,7 @@ def test_fork_failure_leaks_no_file_descriptors(monkeypatch):
     """Regression: a failing ``os.fork`` used to leak both pipe fds."""
     import os
     import pytest
-    from repro.parallel.shard import fork_with_pipe
+    from repro.parallel.supervisor import fork_with_pipe
 
     def count_fds():
         return len(os.listdir("/proc/self/fd"))
@@ -145,18 +145,24 @@ def test_worker_errors_carry_shard_identity(internet):
     """A dying worker's error names its shard index and slice bounds."""
     import pytest
     from repro.core.monitoring import WeeklyMonitor as Monitor
-    from repro.parallel.shard import partition, run_shards_forked, shard_ident
+    from repro.parallel import SupervisorConfig, WorkerFailure
+    from repro.parallel.shard import partition, shard_ident
+    from repro.parallel.supervisor import ShardSupervisor
 
     assert shard_ident(2, (10, 15)) == "shard 2 (names[10:15], 5 FQDNs)"
 
     monitor = Monitor(internet.client)
     # A non-string FQDN explodes inside the worker's sampling loop; the
-    # surfaced error must say which shard (and which slice) died.
+    # failure reason must say which shard (and which slice) died, forked
+    # or inline.
     fqdns = ["ok0.acme.com", "ok1.acme.com", None, "ok2.acme.com"]
     shards = partition(fqdns, 2)
-    with pytest.raises(RuntimeError) as excinfo:
-        run_shards_forked(monitor, shards, T0, None)
-    assert "shard 1 (names[2:4], 2 FQDNs)" in str(excinfo.value)
+    for forked in (True, False):
+        supervisor = ShardSupervisor(monitor, T0, None, SupervisorConfig(), forked)
+        with pytest.raises(WorkerFailure) as excinfo:
+            supervisor._attempt(1, shards[1], (2, 4), fault=None)
+        assert excinfo.value.kind == "error"
+        assert "shard 1 (names[2:4], 2 FQDNs)" in str(excinfo.value)
 
 
 def test_supervised_sweep_quarantines_unsampleable_name(internet):

@@ -22,10 +22,11 @@ from repro.dns.records import RRType, ResourceRecord
 from repro.faults.plan import FaultConfig, FaultPlan
 from repro.parallel import (
     ProcessExecutor,
+    SerialExecutor,
     SupervisorConfig,
     run_shards_supervised,
 )
-from repro.parallel.shard import partition, run_shards_forked
+from repro.parallel.shard import partition
 from repro.parallel import supervisor as supervisor_module
 from repro.pipeline.engine import Checkpoint, PipelineEngine
 from repro.pipeline.store import (
@@ -72,10 +73,10 @@ def _histories(monitor, fqdns):
     }
 
 
-def _apply_sweep(monitor, fqdns, outcome, at):
+def _apply_sweep(monitor, outcome, at, forked):
     """Record a supervised sweep's results the way the executor does."""
     executor = ProcessExecutor(workers=1)
-    executor._apply(monitor, outcome.results, True, at, outcome.quarantined)
+    executor._apply(monitor, outcome.results, forked, at, outcome.quarantined)
 
 
 # -- happy-path parity -----------------------------------------------------
@@ -83,19 +84,58 @@ def _apply_sweep(monitor, fqdns, outcome, at):
 
 @pytest.mark.parametrize("forked", [False, True])
 def test_supervised_sweep_matches_unsupervised(forked):
+    # Forked and inline supervised sweeps ship the same per-shard
+    # results, and both record the store an unsupervised serial sweep
+    # records.
     internet, fqdns = _world()
     monitor = WeeklyMonitor(internet.client)
     shards = partition(fqdns, 3)
-    baseline = run_shards_forked(monitor, shards, T0, None)
     outcome = run_shards_supervised(
         monitor, shards, T0, None, SupervisorConfig(), forked=forked
     )
     assert not outcome.quarantined
     assert outcome.worker_crashes == outcome.worker_hangs == 0
-    assert len(outcome.results) == len(baseline)
-    for ours, theirs in zip(outcome.results, baseline):
-        assert [s for s in ours.sampled] == [s for s in theirs.sampled]
+    inline_world, _ = _world()
+    inline = run_shards_supervised(
+        WeeklyMonitor(inline_world.client), shards, T0, None,
+        SupervisorConfig(), forked=False,
+    )
+    assert len(outcome.results) == len(inline.results) == len(shards)
+    for ours, theirs in zip(outcome.results, inline.results):
+        assert ours.sampled == theirs.sampled
         assert ours.failures == theirs.failures
+    _apply_sweep(monitor, outcome, T0, forked)
+    serial_world, _ = _world()
+    serial = WeeklyMonitor(serial_world.client)
+    SerialExecutor().sweep(serial, fqdns, T0)
+    assert _histories(monitor, fqdns) == _histories(serial, fqdns)
+    assert monitor.samples_taken == serial.samples_taken == len(fqdns)
+
+
+def test_failed_inline_attempts_leave_no_counter_side_effects():
+    # A failed forked attempt's counters die with its worker, so a
+    # failed inline attempt must restore all of them too: quarantining
+    # the bad name takes several doomed attempts, and their extraction-
+    # cache lookups (12 extra here) must not stay counted.
+    def sweep(names, use_fork):
+        internet, _ = _world()
+        monitor = WeeklyMonitor(internet.client)
+        executor = ProcessExecutor(workers=2, use_fork=use_fork)
+        report = executor.sweep(monitor, names, T0)
+        cache = executor.extraction_cache
+        counters = (
+            cache.hits + cache.misses, monitor.samples_taken,
+            monitor.sitemap_fetches,
+        )
+        return counters, [fqdn for fqdn, _ in report.quarantined]
+
+    _, fqdns = _world()
+    poisoned = fqdns[:6] + [None] + fqdns[6:]
+    clean, none_quarantined = sweep(fqdns, use_fork=False)
+    assert none_quarantined == []
+    assert clean == (2 * len(fqdns), len(fqdns), len(fqdns))
+    assert sweep(poisoned, use_fork=False) == (clean, [None])
+    assert sweep(poisoned, use_fork=True) == (clean, [None])
 
 
 # -- worker death (SIGKILL mid-shard) --------------------------------------
@@ -137,7 +177,7 @@ def test_crash_recovered_sweep_records_same_store_as_fault_free():
                 monitor, shards, at, None, SupervisorConfig(), forked=forked
             )
             assert not outcome.quarantined
-            _apply_sweep(monitor, fqdns, outcome, at)
+            _apply_sweep(monitor, outcome, at, forked)
         at += WEEK
     assert _histories(stormy, fqdns) == _histories(clean, fqdns)
 
