@@ -37,11 +37,11 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 BASELINE_PATH = RESULTS_DIR / "perf_baseline_tiny.json"
 
 #: The pinned gate scenario: tiny, fault-free, deterministic — and
-#: **serial**.  Worker cache-split counters (resolver memo, zone memo,
-#: extraction cache) depend on whether shards fork or run inline, which
-#: the executor auto-detects from the machine's CPU count; workers=1
-#: removes that machine-dependence so the committed baseline checks
-#: identically everywhere.
+#: **one worker**, a single inline shard that never forks.  With more
+#: workers the executor forks or not by the machine's CPU count, and
+#: what a shard moves depends on that choice; workers=1 removes the
+#: machine-dependence so the committed baseline checks identically
+#: everywhere.
 RUN_ARGS = ["run", "--scale", "tiny", "--seed", "42", "--weeks", "12",
             "--workers", "1"]
 

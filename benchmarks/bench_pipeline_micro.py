@@ -13,6 +13,7 @@ from repro.core.monitoring import MonitorConfig, WeeklyMonitor
 from repro.core.reporting import render_table
 from repro.core.scenario import ScenarioConfig, run_scenario
 from repro.obs import OBS, MetricsRegistry, Tracer
+from repro.parallel import SerialExecutor
 
 
 def test_algorithm1_throughput(paper, benchmark):
@@ -39,9 +40,11 @@ def test_resolver_throughput(paper, benchmark):
 def test_monitor_sample_throughput(paper, benchmark):
     names = paper.collector.monitored_sorted[:200]
     monitor = WeeklyMonitor(paper.internet.client, config=MonitorConfig())
+    # The plain sample-and-record loop: the generic sampler's cost.
+    executor = SerialExecutor()
 
     def sweep_once():
-        return monitor.sweep(names, paper.end)
+        return executor.sweep(monitor, names, paper.end)
 
     benchmark.pedantic(sweep_once, rounds=3, iterations=1)
     assert monitor.samples_taken >= 200

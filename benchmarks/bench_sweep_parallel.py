@@ -1,12 +1,17 @@
 """Serial-vs-N-worker sweep throughput (the parallel executor baseline).
 
 One deterministic world is run once per executor variant — the serial
-baseline (``workers=1``) and the sharded :class:`ProcessExecutor` at 2
-and 4 workers — and the monitor-sweep stage's :class:`PipelineMetrics`
-row gives each variant's sweep wall time and FQDN throughput.  Because
-fault-free parallel runs merge in shard order, every variant must also
+baseline (:class:`SerialExecutor`, the generic sampler, swapped into
+the sweep stage), the default single inline fused shard
+(``workers=1``), and the sharded :class:`ProcessExecutor` at 2 and 4
+workers — and the monitor-sweep stage's :class:`PipelineMetrics` row
+gives each variant's sweep wall time and FQDN throughput.  Because
+fault-free sharded runs merge in shard order, every variant must also
 export a byte-identical dataset; the bench asserts it, so the
-throughput table doubles as an end-to-end determinism check.
+throughput table doubles as an end-to-end determinism check.  The
+floors compare the last row with the serial one; the ``1 (inline)``
+row is ungated and shows how much of that ratio is the fused path
+rather than parallel work.
 
 Runs two ways:
 
@@ -16,11 +21,13 @@ Runs two ways:
   paper-scale default scenario (the acceptance run — ≥ 2× sweep
   throughput at 4 workers), or ``--quick`` for the small one.
 
-A second table measures the churn-proportional ``--incremental`` mode:
-a full-vs-incremental pair on the low-churn world at one worker (a
-single inline shard, isolating the revision journal's clean-skip
-savings from fork overhead).  The standalone acceptance gate is ≥ 2×
-sweep throughput with a byte-identical export.
+A second table measures the churn-proportional ``--incremental`` mode
+on the low-churn world: a full serial sweep (the gate's baseline), an
+ungated full fused sweep (one inline shard), and the incremental
+sweep at one worker (a single inline shard, isolating the revision
+journal's clean-skip savings from fork overhead).  The standalone
+acceptance gate is ≥ 2× the serial sweep's throughput with a
+byte-identical export.
 """
 
 from __future__ import annotations
@@ -32,17 +39,17 @@ import os
 import pathlib
 import subprocess
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.export import dataset_to_json
 from repro.core.reporting import render_table
-from repro.core.scenario import ScenarioConfig, run_scenario
-from repro.parallel.executor import ProcessExecutor
+from repro.core.scenario import ScenarioConfig, build_scenario
+from repro.parallel.executor import ProcessExecutor, SerialExecutor
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-#: Worker counts measured, serial baseline first.
-WORKER_COUNTS = (1, 2, 4)
+#: ``(workers, serial)`` variants measured, serial baseline first.
+VARIANTS = ((1, True), (1, False), (2, False), (4, False))
 
 
 def _config(scale: str, workers: int, weeks: Optional[int],
@@ -65,13 +72,23 @@ def _config(scale: str, workers: int, weeks: Optional[int],
 
 
 def run_variant(scale: str, workers: int, weeks: Optional[int],
-                incremental: bool = False, low_churn: bool = False) -> Dict:
-    """One full scenario run; sweep cost read off the stage metrics."""
-    result = run_scenario(
+                incremental: bool = False, low_churn: bool = False,
+                serial: bool = False) -> Dict:
+    """One full scenario run; sweep cost read off the stage metrics.
+
+    ``serial`` swaps :class:`SerialExecutor` into the sweep stage: no
+    CLI run uses it, so the baselines have to ask for it.
+    """
+    engine = build_scenario(
         _config(scale, workers, weeks, incremental=incremental,
                 low_churn=low_churn)
     )
-    sweep = result.metrics.stage("monitor-sweep")
+    result = engine.payload
+    if serial:
+        stage = next(s for s in engine.stages if s.name == "monitor-sweep")
+        stage._executor = result.executor = SerialExecutor()
+    engine.run()
+    sweep = engine.metrics.stage("monitor-sweep")
     executor = result.executor
     cache_hits = cache_misses = 0
     mode = "serial"
@@ -96,13 +113,14 @@ def run_variant(scale: str, workers: int, weeks: Optional[int],
         "digest": hashlib.sha256(
             dataset_to_json(result.dataset, indent=2).encode("utf-8")
         ).hexdigest(),
-        "weeks": result.weeks_run,
+        "weeks": engine.week_index,
     }
 
 
 def measure(scale: str, weeks: Optional[int] = None,
-            worker_counts: Sequence[int] = WORKER_COUNTS) -> List[Dict]:
-    runs = [run_variant(scale, workers, weeks) for workers in worker_counts]
+            variants: Sequence[Tuple[int, bool]] = VARIANTS) -> List[Dict]:
+    runs = [run_variant(scale, workers, weeks, serial=serial)
+            for workers, serial in variants]
     # Fault-free sharded runs merge deterministically: every worker
     # count must export the byte-identical dataset.
     digests = {run["digest"] for run in runs}
@@ -111,7 +129,7 @@ def measure(scale: str, weeks: Optional[int] = None,
 
 
 def measure_isolated(scale: str, weeks: Optional[int] = None,
-                     worker_counts: Sequence[int] = WORKER_COUNTS) -> List[Dict]:
+                     variants: Sequence[Tuple[int, bool]] = VARIANTS) -> List[Dict]:
     """Like :func:`measure`, but each variant runs in a fresh interpreter.
 
     Back-to-back variants in one process are not measured under equal
@@ -126,9 +144,11 @@ def measure_isolated(scale: str, weeks: Optional[int] = None,
     existing = env.get("PYTHONPATH", "")
     env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
     runs: List[Dict] = []
-    for workers in worker_counts:
+    for workers, serial in variants:
         cmd = [sys.executable, str(script),
                "--variant", str(workers), "--scale", scale]
+        if serial:
+            cmd.append("--serial")
         if weeks is not None:
             cmd += ["--weeks", str(weeks)]
         proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
@@ -196,37 +216,45 @@ def emit_results(runs: List[Dict], scale: str, out=sys.stdout) -> str:
 # -- incremental (churn-proportional) variant ------------------------------
 
 
-def measure_incremental(scale: str, weeks: Optional[int] = None) -> List[Dict]:
-    """Full-vs-incremental sweep pair on the low-churn scenario.
+#: ``(incremental, serial)`` runs of the incremental table, baseline first.
+INCREMENTAL_VARIANTS = ((False, True), (False, False), (True, False))
 
-    Both runs share the quiet world (0.2%/week release rate) at one
-    worker — a single inline shard, so the comparison isolates the
-    journal's clean-skip savings from fork overhead.  The incremental
-    run must export the byte-identical dataset (only the cost moves).
+
+def measure_incremental(scale: str, weeks: Optional[int] = None) -> List[Dict]:
+    """Full-vs-incremental sweeps on the low-churn scenario.
+
+    All runs share the quiet world (0.2%/week release rate) at one
+    worker: the serial full sweep, then a single inline shard full and
+    incremental, so the last two isolate the journal's clean-skip
+    savings from fork overhead.  Every run must export the
+    byte-identical dataset (only the cost moves).
     """
-    pair = [
-        run_variant(scale, 1, weeks, incremental=False, low_churn=True),
-        run_variant(scale, 1, weeks, incremental=True, low_churn=True),
+    runs = [
+        run_variant(scale, 1, weeks, incremental=incremental,
+                    low_churn=True, serial=serial)
+        for incremental, serial in INCREMENTAL_VARIANTS
     ]
-    digests = {run["digest"] for run in pair}
+    digests = {run["digest"] for run in runs}
     assert len(digests) == 1, f"incremental export diverged from full: {digests}"
-    return pair
+    return runs
 
 
 def measure_incremental_isolated(scale: str,
                                  weeks: Optional[int] = None) -> List[Dict]:
-    """The same pair, each run in a fresh interpreter (fair timing)."""
+    """The same runs, each in a fresh interpreter (fair timing)."""
     script = pathlib.Path(__file__).resolve()
     env = dict(os.environ)
     src = str(script.parents[1] / "src")
     existing = env.get("PYTHONPATH", "")
     env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
-    pair: List[Dict] = []
-    for incremental in (False, True):
+    runs: List[Dict] = []
+    for incremental, serial in INCREMENTAL_VARIANTS:
         cmd = [sys.executable, str(script),
                "--variant", "1", "--scale", scale, "--low-churn"]
         if incremental:
             cmd.append("--incremental")
+        if serial:
+            cmd.append("--serial")
         if weeks is not None:
             cmd += ["--weeks", str(weeks)]
         proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
@@ -234,54 +262,60 @@ def measure_incremental_isolated(scale: str,
             raise RuntimeError(
                 f"bench variant incremental={incremental} failed:\n{proc.stderr}"
             )
-        pair.append(json.loads(proc.stdout.splitlines()[-1]))
-    digests = {run["digest"] for run in pair}
+        runs.append(json.loads(proc.stdout.splitlines()[-1]))
+    digests = {run["digest"] for run in runs}
     assert len(digests) == 1, f"incremental export diverged from full: {digests}"
-    return pair
+    return runs
 
 
-def render_incremental(pair: List[Dict], scale: str) -> str:
-    baseline = pair[0]["throughput"]
+def _incremental_label(run: Dict) -> str:
+    if run["incremental"]:
+        return "incremental"
+    return "full" if run["mode"] == "serial" else "full fused"
+
+
+def render_incremental(runs: List[Dict], scale: str) -> str:
+    baseline = runs[0]["throughput"]
     rows = [
         (
-            "incremental" if run["incremental"] else "full fused",
+            f"{_incremental_label(run)} ({run['mode']})",
             run["items"],
             f"{run['wall_s']:.2f}",
             f"{run['throughput']:,.0f}",
             f"{run['throughput'] / baseline:.2f}x" if baseline else "-",
         )
-        for run in pair
+        for run in runs
     ]
     return render_table(
         ["sweep mode", "fqdns swept", "sweep wall s", "fqdn/s", "speedup"],
         rows,
         title=(
             f"Churn-proportional sweep, full vs --incremental "
-            f"({scale} scenario, low churn, {pair[0]['weeks']} weeks, "
+            f"({scale} scenario, low churn, {runs[0]['weeks']} weeks, "
             f"digests byte-identical)"
         ),
     )
 
 
-def emit_incremental(pair: List[Dict], scale: str, out=sys.stdout) -> str:
-    table = render_incremental(pair, scale)
+def emit_incremental(runs: List[Dict], scale: str, out=sys.stdout) -> str:
+    table = render_incremental(runs, scale)
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "sweep_incremental.txt").write_text(
         table + "\n", encoding="utf-8"
     )
-    baseline = pair[0]["throughput"]
+    baseline = runs[0]["throughput"]
     (RESULTS_DIR / "sweep_incremental.json").write_text(
         json.dumps(
             {
                 "scale": scale,
-                "weeks": pair[0]["weeks"],
+                "weeks": runs[0]["weeks"],
                 "runs": [
                     {key: run[key] for key in
-                     ("incremental", "items", "wall_s", "throughput")}
-                    for run in pair
+                     ("incremental", "mode", "items", "wall_s", "throughput")}
+                    for run in runs
                 ],
                 "incremental_speedup": (
-                    pair[1]["throughput"] / baseline if baseline else 0.0
+                    runs[-1]["throughput"] / baseline if baseline else 0.0
                 ),
             },
             indent=2,
@@ -315,13 +349,13 @@ def test_sweep_parallel_throughput(emit):
 
 def test_sweep_incremental_throughput(emit):
     """Full-vs-incremental parity + throughput on the low-churn world."""
-    pair = measure_incremental("small")
-    emit_incremental(pair, "small")
-    emit("sweep_incremental", render_incremental(pair, "small"))
-    speedup = pair[1]["throughput"] / pair[0]["throughput"]
+    runs = measure_incremental("small")
+    emit_incremental(runs, "small")
+    emit("sweep_incremental", render_incremental(runs, "small"))
+    speedup = runs[-1]["throughput"] / runs[0]["throughput"]
     # In-process conservative floor; the >= 2x acceptance gate applies
     # to the isolated standalone run.
-    assert speedup >= 1.5, f"incremental sweep only {speedup:.2f}x full"
+    assert speedup >= 1.5, f"incremental sweep only {speedup:.2f}x the serial full sweep"
 
 
 # -- standalone entry point ------------------------------------------------
@@ -337,6 +371,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--variant", type=int, default=None,
                         help="internal: run one worker-count variant and "
                              "print its result row as JSON")
+    parser.add_argument("--serial", action="store_true",
+                        help="internal: run the --variant on the serial "
+                             "executor")
     parser.add_argument("--scale", default=None,
                         help="internal: scenario scale for --variant")
     parser.add_argument("--incremental", action="store_true",
@@ -349,7 +386,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.variant is not None:
         run = run_variant(args.scale or "full", args.variant, args.weeks,
                           incremental=args.incremental,
-                          low_churn=args.low_churn)
+                          low_churn=args.low_churn, serial=args.serial)
         print(json.dumps(run))
         return 0
     scale = "small" if args.quick else "full"
@@ -362,9 +399,9 @@ def main(argv: Optional[List[str]] = None) -> int:
               file=sys.stderr)
         return 1
     print(f"speedup at {runs[-1]['workers']} workers: {speedup:.2f}x")
-    pair = measure_incremental_isolated(scale, weeks=args.weeks)
-    emit_incremental(pair, scale)
-    inc_speedup = pair[1]["throughput"] / pair[0]["throughput"]
+    runs = measure_incremental_isolated(scale, weeks=args.weeks)
+    emit_incremental(runs, scale)
+    inc_speedup = runs[-1]["throughput"] / runs[0]["throughput"]
     inc_floor = 1.5 if args.quick else 2.0
     if inc_speedup < inc_floor:
         print(f"FAIL: incremental sweep {inc_speedup:.2f}x below the "

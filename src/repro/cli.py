@@ -58,7 +58,8 @@ FQDNs.
 
 ``--workers N`` shards each weekly monitor sweep across N forked
 workers, merged deterministically in shard order: a fault-free run
-exports byte-identical datasets for any worker count.
+exports byte-identical datasets for any worker count.  The default,
+1, runs the same shard loop inline.
 
 ``--incremental`` makes sweeps churn-proportional: each week the
 monitor asks the world's revision journal what changed since its last
@@ -149,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--workers", type=int, default=1, metavar="N",
                          help="sweep workers: shard the weekly monitor "
                               "sweep across N forked workers (default 1 "
-                              "= serial baseline)")
+                              "= one inline shard, no fork)")
         cmd.add_argument("--incremental", action="store_true",
                          help="churn-proportional sweeps: skip names whose "
                               "revision-journal dependencies are unchanged "

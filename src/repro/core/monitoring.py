@@ -16,7 +16,7 @@ import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from datetime import datetime
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.keywords import extract_keywords
 from repro.core.sigindex import (
@@ -64,9 +64,6 @@ class MonitorConfig:
     #: recorded on the snapshot.  The fallback pair counts as one
     #: logical index probe against the ethics bound.
     prefer_https: bool = False
-    #: Batch size for :meth:`WeeklyMonitor.sweep_iter` — the unit of
-    #: work a parallel executor will shard across workers.
-    sweep_batch_size: int = 256
     #: Retry budget for the monitor's own fetches (index + sitemap).
     #: The default (one attempt, no retries) is the pre-resilience
     #: behaviour; chaos runs raise it to ride out transient faults.
@@ -246,8 +243,8 @@ class ExtractionCache:
     the body extracts to; ``sitemap`` maps a sitemap-body hash to its
     ``(size, count, sample)`` triple.  Entirely behaviour-transparent:
     a cached entry is byte-identical to re-extraction.  Disabled by
-    default (``WeeklyMonitor`` is built without one); the parallel
-    executor owns one per run and threads it into its shard workers.
+    default (``WeeklyMonitor`` is built without one); the sharded
+    executor owns one per run and threads it into its shards.
     """
 
     html: Dict[str, Dict[str, object]] = field(default_factory=dict)
@@ -327,7 +324,8 @@ class TouchLedger:
 
 
 class WeeklyMonitor:
-    """Takes the weekly samples and feeds the store."""
+    """Takes the weekly samples; a sweep executor records them into
+    :attr:`store` (see :mod:`repro.parallel.executor`)."""
 
     def __init__(
         self,
@@ -342,7 +340,7 @@ class WeeklyMonitor:
         self.store = store if store is not None else SnapshotStore()
         self.config = config or MonitorConfig()
         #: Optional content-addressed extraction memo (None = always
-        #: re-extract, the baseline serial behaviour).
+        #: re-extract, as the serial oracle does).
         self.extraction_cache = extraction_cache
         #: The world's :class:`repro.sim.revisions.RevisionJournal`;
         #: required for incremental sweeps, harmless otherwise.
@@ -359,69 +357,6 @@ class WeeklyMonitor:
     def client(self) -> HttpClient:
         """The HTTP client the monitor samples through."""
         return self._client
-
-    def sweep(
-        self, fqdns: Sequence[Name], at: datetime
-    ) -> List[Tuple[SnapshotFeatures, Optional[SnapshotFeatures]]]:
-        """Sample every FQDN once.
-
-        Returns ``(new_state, previous_state)`` pairs for every FQDN
-        whose observable state changed this week — the input unit for
-        change detection.
-        """
-        changed: List[Tuple[SnapshotFeatures, Optional[SnapshotFeatures]]] = []
-        for batch_changed in self.sweep_iter(fqdns, at):
-            changed.extend(batch_changed)
-        return changed
-
-    def sweep_iter(
-        self,
-        fqdns: Sequence[Name],
-        at: datetime,
-        batch_size: Optional[int] = None,
-        failures: Optional[List[Tuple[Name, str]]] = None,
-    ) -> Iterator[List[Tuple[SnapshotFeatures, Optional[SnapshotFeatures]]]]:
-        """Sample in fixed-size batches, yielding each batch's changes.
-
-        Batches are the unit a parallel executor will shard: each batch
-        touches a disjoint slice of the monitored set, so batches can
-        run concurrently once the store is partitioned.  Yields one
-        (possibly empty) changed-pairs list per batch; iterating to
-        exhaustion is equivalent to :meth:`sweep`.
-
-        Retry-exhausted transient failures — (fqdn, fetch_status) pairs
-        whose final sample still failed — are appended to ``failures``
-        when given (else dropped).  Validation and the sink binding
-        happen eagerly at call time, not at first ``next()``, so
-        interleaved sweeps never clobber each other's quarantine lists.
-        """
-        size = batch_size if batch_size is not None else self.config.sweep_batch_size
-        if size <= 0:
-            raise ValueError(f"batch_size must be positive, got {size}")
-        sink: List[Tuple[Name, str]] = failures if failures is not None else []
-        return self._sweep_batches(fqdns, at, size, sink)
-
-    def _sweep_batches(
-        self,
-        fqdns: Sequence[Name],
-        at: datetime,
-        size: int,
-        failures: List[Tuple[Name, str]],
-    ) -> Iterator[List[Tuple[SnapshotFeatures, Optional[SnapshotFeatures]]]]:
-        for start in range(0, len(fqdns), size):
-            changed: List[Tuple[SnapshotFeatures, Optional[SnapshotFeatures]]] = []
-            for fqdn in fqdns[start:start + size]:
-                features = self.sample(fqdn, at)
-                if features.fetch_status in TRANSIENT_SAMPLE_STATUSES:
-                    # Retries exhausted and the state is still unknown:
-                    # keep the last trusted state instead of recording a
-                    # phantom change, and hand the FQDN to quarantine.
-                    failures.append((fqdn, features.fetch_status))
-                    continue
-                is_new, previous = self.store.record(features)
-                if is_new:
-                    changed.append((features, previous))
-            yield changed
 
     def sample(self, fqdn: Name, at: datetime) -> SnapshotFeatures:
         """One weekly sample: index fetch, plus sitemap when warranted."""

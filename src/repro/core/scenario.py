@@ -5,7 +5,7 @@ the paper's three-year loop week by week on the stage-based
 :class:`~repro.pipeline.engine.PipelineEngine`: the legitimate world
 evolves, attacker campaigns hunt and hijack, users browse (and get
 their cookies stolen), the collector keeps expanding the monitored set,
-the monitor samples every monitored FQDN in batches, and the detector
+the monitor samples every monitored FQDN in shards, and the detector
 turns changes into abuse records.  ``build_scenario`` exposes the
 composed-but-unrun engine for callers that want to step, checkpoint or
 resume the run themselves.  The returned :class:`ScenarioResult`
@@ -43,7 +43,7 @@ from repro.core.stages import (
 )
 from repro.faults.plan import FaultConfig, FaultPlan
 from repro.faults.retry import CircuitBreaker, RetryPolicy
-from repro.parallel.executor import ProcessExecutor, SerialExecutor, SweepExecutor
+from repro.parallel.executor import ProcessExecutor, SweepExecutor
 from repro.parallel.supervisor import SupervisorConfig
 from repro.pipeline.context import QuarantineRecord
 from repro.pipeline.engine import PipelineEngine
@@ -91,10 +91,11 @@ class ScenarioConfig:
     breaker_threshold: int = 5
     #: Retry budget for a stage tick that raises (1 = fail immediately).
     stage_retry_attempts: int = 1
-    #: Sweep workers: 1 runs the serial baseline executor; N > 1 shards
-    #: the monitored list across N forked workers per weekly sweep,
-    #: merged deterministically in shard order (fault-free runs export
-    #: byte-identical digests for any worker count).
+    #: Sweep workers: the monitored list is cut into this many shards
+    #: per weekly sweep, merged deterministically in shard order
+    #: (fault-free runs export byte-identical digests for any worker
+    #: count).  1 samples as a single inline shard; N > 1 forks when
+    #: more than one CPU is available.
     workers: int = 1
     #: Churn-proportional sweeps: the monitor computes each week's
     #: dirty set from the world's revision journal and extends clean
@@ -168,7 +169,7 @@ class ScenarioResult:
     fault_plan: Optional[FaultPlan] = None
     #: Dead-letter log of quarantined FQDNs / failed stage ticks.
     dead_letters: List[QuarantineRecord] = field(default_factory=list)
-    #: The sweep executor the monitor stage ran on (serial or sharded).
+    #: The sweep executor the monitor stage ran on.
     executor: Optional[SweepExecutor] = None
 
     @property
@@ -259,10 +260,6 @@ def build_scenario(config: Optional[ScenarioConfig] = None) -> PipelineEngine:
         journal=internet.revisions,
         incremental=config.incremental,
     )
-    # Incremental sweeps ride the sharded executor's fused path even at
-    # one worker (a single inline shard is byte-identical to serial);
-    # worker-fault runs need it too — only the supervised executor can
-    # retry, bisect and quarantine dying workers.
     shard_deadline = config.shard_deadline
     if shard_deadline is None and config.faults.worker_hang_rate > 0:
         # Hung workers exist only by injection here, and an injected
@@ -270,16 +267,12 @@ def build_scenario(config: Optional[ScenarioConfig] = None) -> PipelineEngine:
         # without ever clipping a healthy worker (the simulation does
         # no real I/O, so honest shards finish in milliseconds).
         shard_deadline = 5.0
-    executor: SweepExecutor = (
-        ProcessExecutor(
-            workers=config.workers,
-            supervisor=SupervisorConfig(
-                shard_deadline=shard_deadline,
-                max_shard_retries=config.shard_retries,
-            ),
-        )
-        if config.workers > 1 or config.incremental or config.faults.worker_active
-        else SerialExecutor()
+    executor = ProcessExecutor(
+        workers=config.workers,
+        supervisor=SupervisorConfig(
+            shard_deadline=shard_deadline,
+            max_shard_retries=config.shard_retries,
+        ),
     )
     detector = AbuseDetector(monitor.store, config.detector, whois=internet.whois)
 

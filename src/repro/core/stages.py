@@ -26,7 +26,7 @@ from repro.core.malware_analysis import BinaryHarvester
 from repro.core.monitoring import WeeklyMonitor
 from repro.core.notifications import NotificationCampaign
 from repro.dns.names import Name
-from repro.parallel.executor import SerialExecutor, SweepExecutor
+from repro.parallel.executor import ProcessExecutor, SweepExecutor
 from repro.pipeline.context import WeekContext
 from repro.pipeline.stage import Stage
 from repro.world.internet import Internet
@@ -125,13 +125,13 @@ class MonitorSweepStage(Stage):
     """Weekly sampling of every monitored FQDN, via a sweep executor.
 
     The sweep itself is delegated to a
-    :class:`~repro.parallel.executor.SweepExecutor` — the serial
-    baseline by default, or a sharded parallel executor when the
-    scenario asks for workers.  FQDNs whose final sample still ended in
-    a transient failure after the monitor's retry budget are
-    dead-lettered onto the context's quarantine instead of polluting
-    the state store — the week's sweep degrades to the reachable subset
-    rather than aborting.
+    :class:`~repro.parallel.executor.SweepExecutor` — by default one
+    inline shard of :class:`~repro.parallel.executor.ProcessExecutor`,
+    or as many shards as the scenario asks workers for.  FQDNs whose
+    final sample still ended in a transient failure after the monitor's
+    retry budget are dead-lettered onto the context's quarantine
+    instead of polluting the state store — the week's sweep degrades
+    to the reachable subset rather than aborting.
     """
 
     name = "monitor-sweep"
@@ -145,7 +145,7 @@ class MonitorSweepStage(Stage):
     ):
         self._monitor = monitor
         self._collector = collector
-        self._executor = executor if executor is not None else SerialExecutor()
+        self._executor = executor if executor is not None else ProcessExecutor(workers=1)
 
     def tick(self, ctx: WeekContext) -> Optional[int]:
         fqdns = self._collector.monitored_sorted

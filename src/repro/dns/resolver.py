@@ -102,9 +102,10 @@ class Resolver:
     def enable_memo(self) -> None:
         """Turn on version-validated resolution memoization.
 
-        Off by default so the serial baseline keeps the seed's exact
-        cost profile; shard workers switch it on as part of the
-        parallel fast path (each forked worker enables its own copy).
+        Off by default so the generic sampler — chaos runs and the
+        serial test oracle — keeps its exact cost profile; healthy
+        sweep shards switch it on as part of the fused path (inline on
+        the run's own resolver, each forked worker on its own copy).
         """
         self._memo_enabled = True
 

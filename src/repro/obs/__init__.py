@@ -40,6 +40,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NULL_METRICS,
     NullMetrics,
+    is_cache_state,
     metric_key,
 )
 from repro.obs.timeseries import (
@@ -75,6 +76,7 @@ __all__ = [
     "DEFAULT_BOUNDS",
     "MS_BOUNDS",
     "metric_key",
+    "is_cache_state",
     "Tracer",
     "BufferTracer",
     "NullTracer",

@@ -19,6 +19,7 @@ worker counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fnmatch import fnmatchcase
 from typing import Dict, List, Tuple
 
 #: Histogram bucket upper bounds (inclusive); values above the last
@@ -126,6 +127,26 @@ def metric_key(name: str, labels: Dict[str, object]) -> str:
         return name
     inner = ",".join(f"{k}={_escape_label(labels[k])}" for k in sorted(labels))
     return f"{name}{{{inner}}}"
+
+
+#: Series that count a memo's hits and misses rather than work the run
+#: did: the zone lookup/cover memos, the resolver memo and the
+#: extraction cache.  Their split depends on what warmed the caches
+#: before — earlier analyses in the same process, a forked child's
+#: inherited heap, the sweep path that enabled the resolver memo — so
+#: they are not a function of the seed alone (DESIGN.md §10).
+CACHE_STATE_SERIES = (
+    "zone.*.memo_*",
+    "resolver.memo.*",
+    "extraction.*.hits",
+    "extraction.*.misses",
+)
+
+
+def is_cache_state(key: str) -> bool:
+    """Whether series ``key`` (labels allowed) is cache state."""
+    name = key.split("{", 1)[0]
+    return any(fnmatchcase(name, pattern) for pattern in CACHE_STATE_SERIES)
 
 
 class MetricsRegistry:

@@ -35,6 +35,8 @@ import os
 import sys
 from typing import Dict, List, Optional
 
+from repro.obs.metrics import is_cache_state
+
 #: Schema tag stamped into every metrics export; ``repro perf`` uses it
 #: to recognise the file kind and to refuse exports it can't compare.
 METRICS_SCHEMA = "repro.metrics/1"
@@ -199,16 +201,22 @@ def deterministic_view(export: Dict) -> Dict:
     Week deltas and final counters only — resources, run metadata and
     per-week sim stamps are dropped (sim stamps are deterministic but
     depend on the configured start date, which ``--check`` should not
-    couple to).  Two same-seed runs must produce equal views; this is
-    what ``repro perf --check`` compares.
+    couple to), and so are the cache-state series
+    (:func:`~repro.obs.metrics.is_cache_state`).  Two same-seed runs
+    must produce equal views; this is what ``repro perf --check``
+    compares.
     """
+
+    def seeded(series: Dict) -> Dict:
+        return {key: value for key, value in series.items() if not is_cache_state(key)}
+
     return {
         "schema": export.get("schema"),
         "weeks": [
-            {"week": entry.get("week"), "deltas": dict(entry.get("deltas", {}))}
+            {"week": entry.get("week"), "deltas": seeded(entry.get("deltas", {}))}
             for entry in export.get("weeks", [])
         ],
-        "counters": dict(export.get("counters", {})),
+        "counters": seeded(export.get("counters", {})),
     }
 
 

@@ -398,7 +398,7 @@ def parity_projection(events: List[Dict]) -> List[Dict]:
     """The topology-invariant slice of the sim projection.
 
     Drops the per-shard spans (their count is the worker count, and the
-    serial executor never opens them at all), the supervisor's recovery
+    serial test oracle never opens them at all), the supervisor's recovery
     spans, and the trailing metrics snapshot (whose ``sweep.shards.*``
     and cache-split counters are topology-dependent — the registry
     parity tests exclude the same prefixes).  What survives — the

@@ -1,22 +1,27 @@
-"""Sweep executors: the serial baseline and the sharded parallel one.
+"""Sweep executors: the sharded one every run uses, and a serial oracle.
 
 A :class:`SweepExecutor` runs one weekly sweep of the monitored-FQDN
-list and reduces it to a :class:`SweepReport`.  :class:`SerialExecutor`
-is the seed pipeline's behaviour — one in-process pass through
-``WeeklyMonitor.sweep_iter`` — and the golden-digest baseline.
-:class:`ProcessExecutor` shards the list into contiguous slices, runs
-each shard's sample+reduce in a forked worker against the copy-on-write
-world, and merges the results **in shard order**: the snapshot store,
-the changed-pairs list, the quarantine list and every counter see the
-exact same sequence a serial sweep would have produced, so a parallel
-run of a fault-free scenario exports byte-identical digests.
+list and reduces it to a :class:`SweepReport`.  :class:`ProcessExecutor`
+is the pipeline's executor: it shards the list into contiguous slices,
+runs each shard's sample+reduce (inline at one worker, in a forked
+worker against the copy-on-write world otherwise), and merges the
+results **in shard order**: the snapshot store, the changed-pairs list,
+the quarantine list and every counter see the exact same sequence a
+plain serial loop would have produced, so a fault-free scenario exports
+byte-identical digests for any worker count.  :class:`SerialExecutor`
+is that plain loop over the generic ``WeeklyMonitor.sample`` — no run
+uses it; tests and benchmark scripts keep it as the oracle the fused
+shard path must equal.
 
-Under fault injection a parallel run is still fully deterministic —
-the same seed and worker count always replay the same storm — but not
-byte-identical to the *serial* chaos run: fault streams are sequential,
-so sharding re-partitions the draw sequence, and breaker failure
-streaks accumulate shard-locally.  See the determinism-under-sharding
-contract in the README.
+Under fault injection a shard samples through the generic
+``WeeklyMonitor.sample`` (see :func:`~repro.parallel.shard.fast_path_eligible`),
+so one inline shard replays the serial loop's storm exactly.  A
+multi-shard chaos run is still fully deterministic — the same seed and
+worker count always replay the same storm — but not byte-identical to
+the one-shard run: fault streams are sequential, so sharding
+re-partitions the draw sequence, and breaker failure streaks
+accumulate shard-locally.  See the determinism-under-sharding contract
+in the README.
 """
 
 from __future__ import annotations
@@ -27,7 +32,12 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.monitoring import ExtractionCache, SnapshotFeatures, WeeklyMonitor
+from repro.core.monitoring import (
+    TRANSIENT_SAMPLE_STATUSES,
+    ExtractionCache,
+    SnapshotFeatures,
+    WeeklyMonitor,
+)
 from repro.dns.names import Name
 from repro.obs import OBS
 from repro.parallel.shard import (
@@ -98,7 +108,7 @@ class SweepExecutor:
 
 
 class SerialExecutor(SweepExecutor):
-    """The seed pipeline's sweep, verbatim: one in-process pass."""
+    """The generic-path oracle: sample and record each name in turn."""
 
     workers = 1
 
@@ -106,15 +116,19 @@ class SerialExecutor(SweepExecutor):
         self, monitor: WeeklyMonitor, fqdns: Sequence[Name], at: datetime
     ) -> SweepReport:
         started = time.perf_counter()
-        failures: List[Tuple[Name, str]] = []
-        changed: List[ChangedPair] = []
-        for batch_changed in monitor.sweep_iter(fqdns, at, failures=failures):
-            changed.extend(batch_changed)
-        wall = time.perf_counter() - started
-        report = SweepReport(
-            changed=changed, failures=failures, mode="serial",
-            wall_seconds=wall, cpu_seconds=wall,
-        )
+        report = SweepReport()
+        for fqdn in fqdns:
+            features = monitor.sample(fqdn, at)
+            if features.fetch_status in TRANSIENT_SAMPLE_STATUSES:
+                # Retries exhausted and the state is still unknown: keep
+                # the last trusted state instead of recording a phantom
+                # change, and hand the FQDN to quarantine.
+                report.failures.append((fqdn, features.fetch_status))
+                continue
+            is_new, previous = monitor.store.record(features)
+            if is_new:
+                report.changed.append((features, previous))
+        report.wall_seconds = report.cpu_seconds = time.perf_counter() - started
         self.last_report = report
         return report
 

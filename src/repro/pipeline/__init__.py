@@ -10,7 +10,7 @@ checked stage list with built-in per-stage instrumentation
 (:class:`PipelineMetrics`) and checkpoint/resume support.
 
 Stages are the seam every scaling change plugs into: a stage can be
-swapped (a different monitor backend), batched (``sweep_iter``),
+swapped (a different monitor backend), sharded (the sweep executor),
 profiled (the metrics registry), or resumed mid-run (checkpoints),
 without touching the rest of the pipeline.
 """

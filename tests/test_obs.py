@@ -287,9 +287,9 @@ def test_shard_registries_merge_to_the_same_totals_across_worker_counts():
 def test_forked_registry_matches_serial_on_shared_series():
     serial_reg = _traced_run(workers=1)[1]
     forked = _forked_run(2)
-    # The serial baseline sweeps through WeeklyMonitor.sample, not the
-    # fused shard path (which skips redundant DNS work), so only series
-    # both paths record identically compare: sample totals and the
+    # One worker samples as an inline shard and two fork, and forked
+    # children's caches die with them each week, so only series both
+    # topologies record identically compare: sample totals and the
     # detector, which runs in the parent either way.
     for series in ("monitor.samples", "detector.signature_matches",
                    "detector.signatures_extracted"):

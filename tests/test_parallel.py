@@ -18,7 +18,7 @@ from repro.core.monitoring import (
     SnapshotFeatures,
     WeeklyMonitor,
 )
-from repro.core.scenario import ScenarioConfig, run_scenario
+from repro.core.scenario import ScenarioConfig, build_scenario, run_scenario
 from repro.core.stages import MonitorSweepStage
 from repro.dns.records import RRType, ResourceRecord
 from repro.faults.plan import FaultConfig, FaultPlan
@@ -333,7 +333,7 @@ def test_sharded_scenario_exports_byte_identical_dataset(tiny_result):
     assert dataset_to_json(result.dataset, indent=2) == baseline
 
 
-def test_monitor_stage_defaults_to_serial_executor():
+def test_monitor_stage_defaults_to_one_inline_shard():
     internet, fqdns = _monitored_world(2)
     monitor = WeeklyMonitor(internet.client)
 
@@ -341,4 +341,55 @@ def test_monitor_stage_defaults_to_serial_executor():
         monitored_sorted = fqdns
 
     stage = MonitorSweepStage(monitor, Collector())
-    assert isinstance(stage._executor, SerialExecutor)
+    executor = stage._executor
+    assert isinstance(executor, ProcessExecutor)
+    assert executor.workers == 1
+    executor.sweep(monitor, fqdns, T0)
+    assert executor.last_mode == "inline"
+
+
+def _chaos_config() -> ScenarioConfig:
+    """CI's chaos run: 12 weeks, faults 0.08, fault seed 2024, 3 retries."""
+    config = ScenarioConfig.tiny()
+    config.weeks = 12
+    config.faults = FaultConfig.chaos(0.08, seed=2024)
+    config.monitor.retry = RetryPolicy.standard(3)
+    return config
+
+
+@pytest.mark.parametrize(
+    "make_config",
+    [
+        lambda: ScenarioConfig.tiny(seed=42),
+        lambda: ScenarioConfig.tiny(seed=1),
+        lambda: ScenarioConfig.tiny(seed=7),
+        _chaos_config,
+    ],
+    ids=["seed42", "seed1", "seed7", "chaos"],
+)
+def test_default_scenario_matches_serial_oracle(make_config):
+    """No CLI path runs ``SerialExecutor``; this keeps it the oracle.
+
+    The default scenario (one inline fused shard; the generic sampler
+    inside the shard under chaos) and the same scenario with the serial
+    loop swapped into its sweep stage must export the same bytes and
+    move the monitor's counters identically.
+    """
+    outcomes = []
+    for oracle in (False, True):
+        engine = build_scenario(make_config())
+        if oracle:
+            stage = next(s for s in engine.stages if s.name == "monitor-sweep")
+            stage._executor = engine.payload.executor = SerialExecutor()
+        engine.run()
+        result = engine.payload
+        if not oracle:
+            assert result.executor.last_mode == "inline"
+        outcomes.append((
+            dataset_to_json(result.dataset, indent=2),
+            result.monitor.samples_taken,
+            result.monitor.sitemap_fetches,
+            result.monitor.client.retries_total,
+        ))
+    default, oracle = outcomes
+    assert default == oracle

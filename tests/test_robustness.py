@@ -12,9 +12,13 @@ from repro.core.changes import detect_changes
 from repro.core.detection import AbuseDetector
 from repro.core.monitoring import WeeklyMonitor
 from repro.dns.records import RRType, ResourceRecord
+from repro.parallel import ProcessExecutor, SerialExecutor
+from repro.sim.clock import SimClock
+from repro.sim.rng import RngStreams
 from repro.web.html import parse_html
 from repro.web.site import CallableSite, StaticSite
 from repro.web.http import HttpResponse
+from repro.world.internet import Internet
 
 T0 = datetime(2020, 1, 6)
 WEEK = timedelta(weeks=1)
@@ -72,22 +76,33 @@ def test_monitor_survives_server_5xx(internet):
     assert features.http_status == 503
 
 
-def test_detector_survives_pathological_states(internet):
+def test_detector_survives_pathological_states():
     """Garbage, loops and 5xx all flow through detection untouched."""
-    garbage_site = StaticSite()
-    garbage_site.put_index("<<<not html % \x00")
-    _route(internet, "g.acme.com", garbage_site)
-    zone = internet.zones.get_zone("acme.com")
-    zone.add(ResourceRecord("loop.acme.com", RRType.CNAME, "loop.acme.com"), T0)
-    monitor = WeeklyMonitor(internet.client)
-    detector = AbuseDetector(monitor.store)
-    at = T0
-    for _ in range(3):
-        changed = monitor.sweep(["g.acme.com", "loop.acme.com"], at)
-        changes = [detect_changes(prev, cur) for cur, prev in changed]
-        detector.process_week(changes, at)
-        at += WEEK
-    assert len(detector.dataset) == 0  # nothing flagged, nothing crashed
+    # Both executors: the generic-path oracle and the default inline
+    # fused shard, whose 5xx and loop branches are its own code.
+    for executor in (SerialExecutor(), ProcessExecutor(workers=1)):
+        internet = Internet(RngStreams(7), SimClock())
+        garbage_site = StaticSite()
+        garbage_site.put_index("<<<not html % \x00")
+        _route(internet, "g.acme.com", garbage_site)
+        _route(internet, "down.acme.com", CallableSite(
+            lambda request: HttpResponse(status=503, body="overloaded")
+        ))
+        zone = internet.zones.get_zone("acme.com")
+        zone.add(ResourceRecord("loop.acme.com", RRType.CNAME, "loop.acme.com"), T0)
+        monitor = WeeklyMonitor(internet.client)
+        detector = AbuseDetector(monitor.store)
+        names = ["down.acme.com", "g.acme.com", "loop.acme.com"]
+        at = T0
+        for _ in range(3):
+            report = executor.sweep(monitor, names, at)
+            assert report.failures == [("down.acme.com", "http-error")]
+            changes = [detect_changes(prev, cur) for cur, prev in report.changed]
+            detector.process_week(changes, at)
+            at += WEEK
+        assert monitor.store.latest("down.acme.com") is None
+        assert monitor.store.latest("loop.acme.com").dns_status == "SERVFAIL"
+        assert len(detector.dataset) == 0  # nothing flagged, nothing crashed
 
 
 def test_sitemap_with_absurd_entries(internet):
