@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from datetime import datetime
+from itertools import chain
 from typing import List, Optional, Sequence
 
 from repro.content.vocab import (
@@ -197,11 +198,10 @@ class AbuseContentFactory:
         paths first, then more generated names), reproducing the
         multi-thousand-entry sitemaps behind Figure 6.
         """
+        generated = max(0, total_page_count - len(page_paths))
+        paths = chain(page_paths, (self.random_page_name(topic) for _ in range(generated)))
         sitemap = Sitemap()
-        for path in page_paths:
-            sitemap.add(f"http://{fqdn}{path}", lastmod=at)
-        for _ in range(max(0, total_page_count - len(page_paths))):
-            sitemap.add(f"http://{fqdn}{self.random_page_name(topic)}", lastmod=at)
+        sitemap.extend((f"http://{fqdn}{path}" for path in paths), lastmod=at)
         return sitemap
 
     # -- helpers ------------------------------------------------------------------------

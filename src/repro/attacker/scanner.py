@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Dict, List, Optional, Set
 
-from repro.cloud.specs import NamingPolicy, parse_generated_fqdn
+from repro.cloud.specs import NamingPolicy, ParsedGeneratedFqdn, parse_generated_fqdn
 from repro.dns.names import registered_domain
 from repro.dns.records import RRType
 from repro.dns.resolver import ResolutionStatus
@@ -44,6 +44,12 @@ class DanglingScanner:
         #: entry, plus the accumulated target -> CT-victim map.
         self._ct_cursor = 0
         self._ct_victims: Dict[str, Set[str]] = {}
+        #: target -> ``parse_generated_fqdn(target)``: the same targets
+        #: come back every week, and the parse is a pure function of
+        #: the name.  The evaluation that follows is not cached: its
+        #: resolutions and fetches feed passive DNS, and reputation
+        #: depends on ``at``.
+        self._parsed: Dict[str, Optional[ParsedGeneratedFqdn]] = {}
 
     def find_candidates(self, at: datetime) -> List[TakeoverCandidate]:
         """All currently exploitable candidates, best reputation first."""
@@ -86,7 +92,10 @@ class DanglingScanner:
     def _evaluate_target(
         self, target: str, at: datetime, extra_victims: Optional[Set[str]] = None
     ) -> Optional[TakeoverCandidate]:
-        parsed = parse_generated_fqdn(target)
+        try:
+            parsed = self._parsed[target]
+        except KeyError:
+            parsed = self._parsed[target] = parse_generated_fqdn(target)
         if parsed is None:
             return None
         if parsed.spec.naming != NamingPolicy.FREETEXT:

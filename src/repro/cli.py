@@ -114,6 +114,32 @@ from repro.obs.profile import render_profile
 from repro.pipeline.store import CheckpointStore, atomic_write_text
 
 
+def _in_range(kind, low, high=None, above=False):
+    """An argparse ``type``: ``kind`` (int or float) at least ``low``.
+
+    ``high`` adds an upper bound and ``above=True`` makes ``low``
+    exclusive.  A value outside the range is a usage error (exit 2, one
+    line), not a silent clamp or a traceback from deep in the run.
+    """
+    if above:
+        bound = f"above {low}"
+    elif high is None:
+        bound = f"{low} or more"
+    else:
+        bound = f"within [{low}, {high}]"
+
+    def parse(text: str):
+        value = kind(text)
+        fits = low < value if above else low <= value
+        if not (fits and (high is None or value <= high)):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+
+    # argparse reports a failed conversion as "invalid <__name__> value".
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -131,23 +157,23 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--seed", type=int, default=42)
         cmd.add_argument("--scale", choices=("tiny", "small", "full"), default="small")
-        cmd.add_argument("--weeks", type=int, default=None,
+        cmd.add_argument("--weeks", type=_in_range(int, 0), default=None,
                          help="override the scale preset's week count")
         cmd.add_argument("--notify", action="store_true",
                          help="enable the notification campaign")
         cmd.add_argument("--randomize-names", action="store_true",
                          help="enable the provider-side countermeasure")
-        cmd.add_argument("--faults", nargs="?", const=0.05, type=float,
-                         default=None, metavar="LEVEL",
+        cmd.add_argument("--faults", nargs="?", const=0.05,
+                         type=_in_range(float, 0, 1), default=None, metavar="LEVEL",
                          help="inject deterministic faults at LEVEL "
                               "intensity (default 0.05 when given bare)")
         cmd.add_argument("--fault-seed", type=int, default=None,
                          help="seed the fault streams independently of "
                               "the world seed")
-        cmd.add_argument("--retries", type=int, default=None, metavar="N",
+        cmd.add_argument("--retries", type=_in_range(int, 0), default=None, metavar="N",
                          help="monitor retry budget for transient "
                               "failures (default: no retries)")
-        cmd.add_argument("--workers", type=int, default=1, metavar="N",
+        cmd.add_argument("--workers", type=_in_range(int, 1), default=1, metavar="N",
                          help="sweep workers: shard the weekly monitor "
                               "sweep across N forked workers (default 1 "
                               "= one inline shard, no fork)")
@@ -161,19 +187,19 @@ def _build_parser() -> argparse.ArgumentParser:
                               "indexes and match with the paper-faithful "
                               "linear scans (byte-identical exports; the "
                               "benchmark baseline)")
-        cmd.add_argument("--worker-faults", nargs="?", const=0.05, type=float,
-                         default=None, metavar="RATE",
+        cmd.add_argument("--worker-faults", nargs="?", const=0.05,
+                         type=_in_range(float, 0, 1), default=None, metavar="RATE",
                          help="inject worker crash faults at RATE per shard "
                               "span (and hangs at RATE/2); the supervisor "
                               "recovers them (default 0.05 when given bare)")
-        cmd.add_argument("--shard-deadline", type=float, default=None,
-                         metavar="S",
+        cmd.add_argument("--shard-deadline", type=_in_range(float, 0, above=True),
+                         default=None, metavar="S",
                          help="wall-clock budget per sweep worker before "
                               "the supervisor reaps it (default: auto)")
         cmd.add_argument("--checkpoint-dir", metavar="DIR", default=None,
                          help="durably checkpoint the engine into DIR "
                               "(atomic, checksummed, keep-last-3)")
-        cmd.add_argument("--checkpoint-every", type=int, default=4,
+        cmd.add_argument("--checkpoint-every", type=_in_range(int, 1), default=4,
                          metavar="N",
                          help="weeks between checkpoints (default 4)")
         cmd.add_argument("--resume", action="store_true",
@@ -191,7 +217,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="trace file format: jsonl event lines "
                               "(default) or chrome trace-event JSON for "
                               "Perfetto / chrome://tracing")
-        cmd.add_argument("--trace-sample", type=int, default=1, metavar="N",
+        cmd.add_argument("--trace-sample", type=_in_range(int, 1), default=1,
+                         metavar="N",
                          help="keep every Nth span per span name in the "
                               "trace (default 1 = keep all)")
         cmd.add_argument("--metrics-json", metavar="PATH", default=None,
@@ -202,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--export", metavar="PATH", default=None,
                              help="write the abuse dataset to a JSON file")
         if name == "report":
-            cmd.add_argument("--analysis-workers", type=int, default=1,
+            cmd.add_argument("--analysis-workers", type=_in_range(int, 1), default=1,
                              metavar="N",
                              help="run the report's analysis task graph on "
                                   "N forked workers (default 1 = the serial "
@@ -262,7 +289,7 @@ def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
         config.shard_deadline = args.shard_deadline
     if getattr(args, "retries", None) is not None:
         config.monitor.retry = RetryPolicy.standard(max(1, args.retries))
-    config.workers = max(1, getattr(args, "workers", 1) or 1)
+    config.workers = args.workers
     config.incremental = bool(getattr(args, "incremental", False))
     config.detector.use_index = not getattr(args, "linear_detector", False)
     return config
@@ -293,7 +320,7 @@ def _print_report(
     from repro.analysis import report_json, run_analyses
     from repro.core.paper_report import build_report
 
-    run = run_analyses(result, workers=max(1, workers))
+    run = run_analyses(result, workers=workers)
     print(build_report(result, run=run), file=out)
     if json_path:
         # Atomic for the same reason as --export: a crash mid-write must
@@ -414,11 +441,9 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
             # Chrome export needs the whole event list to lay out lanes
             # and normalise timestamps: buffer the run, convert at exit.
             chrome_out = args.trace
-            tracer = BufferTracer(sample_every=max(1, args.trace_sample))
+            tracer = BufferTracer(sample_every=args.trace_sample)
         else:
-            tracer = Tracer(
-                path=args.trace, sample_every=max(1, args.trace_sample)
-            )
+            tracer = Tracer(path=args.trace, sample_every=args.trace_sample)
         series = TimeSeriesRecorder()
         OBS.configure(metrics=registry, tracer=tracer, series=series)
     store: Optional[CheckpointStore] = None
@@ -431,7 +456,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         result = run_scenario(
             config,
             checkpoint_store=store,
-            checkpoint_every=max(1, args.checkpoint_every),
+            checkpoint_every=args.checkpoint_every,
             resume=args.resume,
         )
         if store is not None and args.resume and store.last_recovery is not None:
@@ -452,7 +477,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         elif args.command == "report":
             _print_report(
                 result, out,
-                workers=getattr(args, "analysis_workers", 1),
+                workers=args.analysis_workers,
                 json_path=getattr(args, "report_json", None),
             )
         elif args.command == "audit":

@@ -30,7 +30,7 @@ from repro.faults.retry import RetryPolicy
 from repro.obs import OBS
 from repro.web.client import FetchOutcome, FetchStatus, HttpClient
 from repro.web.html import parse_html
-from repro.web.sitemap import parse_sitemap
+from repro.web.sitemap import sitemap_summary
 
 #: Monitor requests carry a crawler-like UA: the paper fetched pages the
 #: way search spiders do, which is also why cloaked content (served to
@@ -532,9 +532,5 @@ class WeeklyMonitor:
         return fields
 
     def _extract_sitemap_fields(self, body: str) -> Tuple[int, int, Tuple[str, ...]]:
-        sitemap = parse_sitemap(body)
-        return (
-            len(body.encode("utf-8")),
-            len(sitemap),
-            tuple(sitemap.urls()[: self.config.sitemap_sample_cap]),
-        )
+        count, sample = sitemap_summary(body, self.config.sitemap_sample_cap)
+        return len(body.encode("utf-8")), count, sample

@@ -59,8 +59,11 @@ class PassiveDNS:
                     record.name
                 )
         else:
-            obs.last_seen = max(obs.last_seen, at)
-            obs.first_seen = min(obs.first_seen, at)
+            # first_seen <= last_seen, so at most one end moves.
+            if at > obs.last_seen:
+                obs.last_seen = at
+            elif at < obs.first_seen:
+                obs.first_seen = at
             obs.count += 1
         return obs
 

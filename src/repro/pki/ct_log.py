@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from typing import Callable, Dict, List, Optional
 
-from repro.dns.names import Name, is_subdomain_of, normalize_name
+from repro.dns.names import InvalidNameError, Name, is_subdomain_of, normalize_name, parent_name
 from repro.pki.certificate import Certificate
 
 
@@ -32,11 +32,31 @@ class CTLog:
     def __init__(self) -> None:
         self._entries: List[CTLogEntry] = []
         self._monitors: Dict[Name, List[Callable[[CTLogEntry], None]]] = {}
+        #: Name postings: entry positions, in log order, under each
+        #: exact SAN and under the normalized parent ``p`` of each
+        #: wildcard SAN ``*.p``.  ``Certificate`` leaves wildcard SANs
+        #: as given, so one whose parent does not normalize goes in
+        #: ``_unindexed``: a candidate for every query, which
+        #: ``matches`` then decides exactly as the scan did.
+        self._by_san: Dict[Name, List[int]] = {}
+        self._by_wildcard_parent: Dict[Name, List[int]] = {}
+        self._unindexed: List[int] = []
 
     def submit(self, certificate: Certificate, at: datetime) -> CTLogEntry:
         """Log a certificate and fire any matching monitors."""
         entry = CTLogEntry(certificate=certificate, logged_at=at)
+        position = len(self._entries)
         self._entries.append(entry)
+        for san in certificate.sans:
+            if not san.startswith("*."):
+                self._by_san.setdefault(san, []).append(position)
+                continue
+            try:
+                parent = normalize_name(san[2:])
+            except InvalidNameError:
+                self._unindexed.append(position)
+                continue
+            self._by_wildcard_parent.setdefault(parent, []).append(position)
         for apex, callbacks in self._monitors.items():
             if _entry_covers(entry, apex):
                 for callback in callbacks:
@@ -55,14 +75,15 @@ class CTLog:
     def entries_for(self, name: Name, include_subdomains: bool = False) -> List[CTLogEntry]:
         """Entries whose certificate covers ``name`` (or names under it)."""
         normalized = normalize_name(name)
-        out = []
-        for entry in self._entries:
-            if include_subdomains:
-                if _entry_covers(entry, normalized):
-                    out.append(entry)
-            elif entry.certificate.matches(normalized):
-                out.append(entry)
-        return out
+        if include_subdomains:
+            return [e for e in self._entries if _entry_covers(e, normalized)]
+        parent = parent_name(normalized)
+        positions = set(self._by_san.get(normalized, ()))
+        positions.update(self._unindexed)
+        if parent is not None:
+            positions.update(self._by_wildcard_parent.get(parent, ()))
+        candidates = (self._entries[i] for i in sorted(positions))
+        return [e for e in candidates if e.certificate.matches(normalized)]
 
     def single_san_entries(self) -> List[CTLogEntry]:
         """Entries with exactly one non-wildcard SAN (the hijack shape)."""

@@ -220,13 +220,14 @@ class HttpClient:
                 return FetchOutcome(
                     FetchStatus.TLS_ERROR, resolution, ip=ip, tls_detail=problem
                 )
+        cookie_objects = cookie_jar.cookies_for(fqdn, scheme) if cookie_jar else []
         request = HttpRequest(
             host=fqdn,
             path=path,
             scheme=scheme,
             headers=dict(headers or {}),
-            cookies=cookie_jar.header_for(fqdn, scheme) if cookie_jar else {},
-            cookie_objects=cookie_jar.cookies_for(fqdn, scheme) if cookie_jar else [],
+            cookies={c.name: c.value for c in cookie_objects},
+            cookie_objects=cookie_objects,
         )
         response = host.serve(request)
         if self.fault_plan is not None and self.fault_plan.truncated_body(fqdn):

@@ -13,10 +13,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.web.client import FetchStatus, HttpClient
 from repro.web.cookies import Cookie, CookieJar
+from repro.web.html import parse_html
 from repro.world.organizations import Organization
 
 
@@ -51,6 +52,10 @@ class UserPopulation:
         self._orgs: Dict[str, Organization] = {}
         self._monetization = monetization
         self.click_rate = click_rate
+        #: page body -> its first ``?ref=``/``&ref=`` href, or ``None``.
+        #: Users load the same pages week after week, so each distinct
+        #: body is parsed once.
+        self._referral_hrefs: Dict[str, Optional[str]] = {}
 
     def add_users_for_org(self, org: Organization, count: int, at: datetime) -> None:
         """Create ``count`` logged-in users for ``org``.
@@ -137,9 +142,17 @@ class UserPopulation:
             return
         if self._rng.random() >= self.click_rate:
             return
-        from repro.web.html import parse_html
+        try:
+            href = self._referral_hrefs[body]
+        except KeyError:
+            href = self._referral_hrefs[body] = _first_referral_href(body)
+        if href is not None:
+            self._monetization.handle_click(href, at, source_fqdn=fqdn)
 
-        for link in parse_html(body).links:
-            if "?ref=" in link.href or "&ref=" in link.href:
-                self._monetization.handle_click(link.href, at, source_fqdn=fqdn)
-                return
+
+def _first_referral_href(body: str) -> Optional[str]:
+    """The first link on the page carrying a ``ref`` query parameter."""
+    for link in parse_html(body).links:
+        if "?ref=" in link.href or "&ref=" in link.href:
+            return link.href
+    return None

@@ -1,10 +1,12 @@
 """Tests for attacker-side dangling-record reconnaissance."""
 
+import copy
 from datetime import datetime, timedelta
 
 import pytest
 
 from repro.attacker.scanner import DanglingScanner
+from repro.core.scenario import ScenarioConfig, run_scenario
 from repro.dns.records import RRType, ResourceRecord
 
 T0 = datetime(2020, 1, 6)
@@ -109,3 +111,38 @@ def test_candidates_ranked_by_reputation(internet):
     provider_b.release(resource_b, T1)
     candidates = DanglingScanner(internet).find_candidates(T1)
     assert [c.victim_fqdns[0] for c in candidates] == ["b.old.com", "a.young.com"]
+
+
+# -- the recon-parse memo against a run that re-parses every week -----------
+
+
+def _twelve_week_recon(monkeypatch, clear_memo):
+    """Each ``find_candidates`` list of a 12-week tiny run, and its feed."""
+    calls = []
+    original = DanglingScanner.find_candidates
+
+    def recording(self, at):
+        if clear_memo:
+            self._parsed.clear()
+        candidates = original(self, at)
+        calls.append(copy.deepcopy(candidates))
+        return candidates
+
+    with monkeypatch.context() as patch:
+        patch.setattr(DanglingScanner, "find_candidates", recording)
+        config = ScenarioConfig.tiny()
+        config.weeks = 12
+        result = run_scenario(config)
+    feed = sorted(
+        (key, obs.first_seen, obs.last_seen, obs.count)
+        for key, obs in result.internet.passive_dns._observations.items()
+    )
+    return calls, feed
+
+
+def test_parse_memo_leaves_weekly_candidates_and_feed_unchanged(monkeypatch):
+    memo_calls, memo_feed = _twelve_week_recon(monkeypatch, clear_memo=False)
+    fresh_calls, fresh_feed = _twelve_week_recon(monkeypatch, clear_memo=True)
+    assert any(memo_calls), "no week found a candidate: the check is vacuous"
+    assert memo_calls == fresh_calls
+    assert memo_feed == fresh_feed

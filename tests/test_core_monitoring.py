@@ -296,3 +296,23 @@ def test_scheme_is_not_part_of_state_identity(internet):
     assert second.scheme == "https"
     # Same content over a different scheme is the same observed state.
     assert second.state_key() == first.state_key()
+
+
+def test_sitemap_fields_equal_the_full_parse(internet):
+    """The monitor's one-pass summary reads what parsing every entry read."""
+    from repro.web.sitemap import parse_sitemap
+
+    bulk = Sitemap()
+    for index in range(300):
+        bulk.add(f"http://x.acme.com/slot-{index}.html", lastmod=T0)
+    hostile = (
+        "<urlset><url><loc> http://a/1 </loc></url><url><url><loc>http://a/2</loc>"
+        "</url><url><loc>\n</loc></url><url>no loc</url><url><loc>http://a/open"
+    )
+    for cap in (0, 1, 10):
+        monitor = WeeklyMonitor(internet.client, config=MonitorConfig(sitemap_sample_cap=cap))
+        for body in (bulk.render(), hostile, ""):
+            parsed = parse_sitemap(body)
+            assert monitor.extract_sitemap_fields(body) == (
+                len(body.encode("utf-8")), len(parsed), tuple(parsed.urls()[:cap])
+            )

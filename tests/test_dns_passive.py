@@ -61,3 +61,14 @@ def test_observations_for_name():
     pdns.observe(_cname("a.foo.com", "x.cloud.net"), T0)
     pdns.observe(ResourceRecord("a.foo.com", RRType.A, "1.1.1.1"), T0)
     assert len(pdns.observations_for("a.foo.com")) == 2
+
+
+def test_sighting_inside_the_window_only_counts():
+    pdns = PassiveDNS()
+    record = _cname("a.example.com", "x.cloud.net")
+    pdns.observe(record, T0)
+    pdns.observe(record, T1)
+    obs = pdns.observe(record, datetime(2020, 3, 1))
+    assert (obs.first_seen, obs.last_seen, obs.count) == (T0, T1, 3)
+    obs = pdns.observe(record, T1)
+    assert (obs.first_seen, obs.last_seen, obs.count) == (T0, T1, 4)

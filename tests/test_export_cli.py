@@ -3,7 +3,9 @@
 import io
 import json
 
-from repro.cli import main
+import pytest
+
+from repro.cli import _build_parser, _config_from_args, main
 from repro.core.export import (
     dataset_from_json,
     dataset_to_json,
@@ -82,3 +84,39 @@ def test_cli_countermeasure_flag():
         line for line in out.getvalue().splitlines() if "actual takeovers" in line
     )
     assert takeover_line.split()[-1] == "0"
+
+
+@pytest.mark.parametrize("argv, bound", [
+    (["run", "--workers", "0"], "must be 1 or more"),
+    (["report", "--analysis-workers", "0"], "must be 1 or more"),
+    (["run", "--checkpoint-every", "-2"], "must be 1 or more"),
+    (["run", "--trace-sample", "0"], "must be 1 or more"),
+    (["run", "--weeks", "-1"], "must be 0 or more"),
+    (["run", "--retries", "-1"], "must be 0 or more"),
+    (["run", "--faults", "2"], "must be within [0, 1]"),
+    (["run", "--worker-faults", "2"], "must be within [0, 1]"),
+    (["run", "--worker-faults", "-1"], "must be within [0, 1]"),
+    (["run", "--shard-deadline", "-5"], "must be above 0"),
+    (["run", "--shard-deadline", "0"], "must be above 0"),
+    (["run", "--workers", "two"], "invalid int value"),
+])
+def test_cli_rejects_out_of_range_numbers_when_parsing(argv, bound, capsys):
+    """Exit 2 with one usage-error line, before any world is built."""
+    with pytest.raises(SystemExit) as exited:
+        main(argv + ["--scale", "tiny"], out=io.StringIO())
+    assert exited.value.code == 2
+    error = capsys.readouterr().err.strip().splitlines()[-1]
+    assert error.startswith(f"repro {argv[0]}: error: argument {argv[1]}: {bound}")
+
+
+def test_cli_range_edges_keep_their_meaning():
+    args = _build_parser().parse_args([
+        "run", "--workers", "1", "--weeks", "0", "--retries", "0",
+        "--faults", "1", "--worker-faults", "0", "--shard-deadline", "0.5",
+        "--checkpoint-every", "1", "--trace-sample", "1",
+    ])
+    config = _config_from_args(args)
+    assert config.workers == 1 and config.weeks == 0
+    assert config.monitor.retry.max_attempts == 1  # --retries 0: one attempt
+    assert config.shard_deadline == 0.5
+    assert config.faults.worker_crash_rate == 0

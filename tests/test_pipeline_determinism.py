@@ -9,6 +9,7 @@ either changes, a behavioural difference slipped into the pipeline.
 
 import hashlib
 
+from repro.analysis import report_json, run_analyses
 from repro.core.export import dataset_to_json, ground_truth_to_json
 from repro.core.scenario import ScenarioConfig, build_scenario, run_scenario
 
@@ -52,3 +53,41 @@ def test_stepped_engine_matches_run_scenario(tiny_result):
         tiny_result.dataset, indent=2
     )
     assert engine.week_index == tiny_result.weeks_run
+
+
+#: perfbench's world for ``--seed 21`` (``workloads.world_seed`` picks
+#: scenario seed 5377), 26 weeks: the full-scale outputs, pinned so a
+#: change that moves them fails here and not only in a benchmark run.
+BENCH_WORLD_DATASET_SHA256 = (
+    "61c10ec8a6651d55af28f7bb3f0a281fc67ae786db1f0071cc32cbfd8d77aa5f"
+)
+BENCH_WORLD_REPORT_SHA256 = (
+    "3f2e49521e692824c905f5a35f588cc98a324720d60b3d8ec58abd9ad0a4da72"
+)
+BENCH_WORLD_FEED_SHA256 = (
+    "7bbd190ca27551293b58d2b16b41673d6c99d4cb28be47358b69d572242e2a47"
+)
+
+
+def _passive_dns_feed(passive_dns) -> str:
+    """Every observation as ``(key, first, last, count)``, in key order."""
+    return repr(sorted(
+        (key, obs.first_seen.isoformat(), obs.last_seen.isoformat(), obs.count)
+        for key, obs in passive_dns._observations.items()
+    ))
+
+
+def test_benchmark_world_outputs_are_pinned():
+    result = run_scenario(ScenarioConfig(seed=5377, weeks=26))
+    # Analyses resolve names too and so write into the feed: digest it
+    # first.
+    assert len(result.internet.passive_dns) == 5349
+    assert _digest(_passive_dns_feed(result.internet.passive_dns)) == (
+        BENCH_WORLD_FEED_SHA256
+    )
+    assert _digest(dataset_to_json(result.dataset, indent=2)) == (
+        BENCH_WORLD_DATASET_SHA256
+    )
+    assert _digest(report_json(run_analyses(result), result)) == (
+        BENCH_WORLD_REPORT_SHA256
+    )
