@@ -36,14 +36,10 @@ from repro.obs.timeseries import deterministic_view
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 BASELINE_PATH = RESULTS_DIR / "perf_baseline_tiny.json"
 
-#: The pinned gate scenario: tiny, fault-free, deterministic — and
-#: **one worker**, a single inline shard that never forks.  With more
-#: workers the executor forks or not by the machine's CPU count, and
-#: what a shard moves depends on that choice; workers=1 removes the
-#: machine-dependence so the committed baseline checks identically
-#: everywhere.
-RUN_ARGS = ["run", "--scale", "tiny", "--seed", "42", "--weeks", "12",
-            "--workers", "1"]
+#: The pinned gate scenario: tiny, fault-free, deterministic.  Every
+#: sweep is one inline shard whatever the machine, so the committed
+#: baseline checks identically everywhere.
+RUN_ARGS = ["run", "--scale", "tiny", "--seed", "42", "--weeks", "12"]
 
 
 class _Sink:

@@ -91,7 +91,6 @@ def test_observability_registry(emit):
     registry = MetricsRegistry()
     tracer = Tracer(sample_every=1)  # aggregate-only, no file
     config = ScenarioConfig.tiny()
-    config.workers = 2
     OBS.configure(metrics=registry, tracer=tracer)
     try:
         result = run_scenario(config)
@@ -117,6 +116,6 @@ def test_observability_registry(emit):
         "observability_registry",
         render_table(
             ["series", "value"], registry.rows(),
-            title=f"Metrics registry (tiny, {result.weeks_run} weeks, 2 workers)",
+            title=f"Metrics registry (tiny, {result.weeks_run} weeks)",
         ),
     )

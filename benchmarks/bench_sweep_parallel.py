@@ -1,33 +1,29 @@
-"""Serial-vs-N-worker sweep throughput (the parallel executor baseline).
+"""Serial-oracle-vs-inline-shard sweep throughput.
 
-One deterministic world is run once per executor variant — the serial
-baseline (:class:`SerialExecutor`, the generic sampler, swapped into
-the sweep stage), the default single inline fused shard
-(``workers=1``), and the sharded :class:`ProcessExecutor` at 2 and 4
-workers — and the monitor-sweep stage's :class:`PipelineMetrics` row
-gives each variant's sweep wall time and FQDN throughput.  Because
-fault-free sharded runs merge in shard order, every variant must also
-export a byte-identical dataset; the bench asserts it, so the
-throughput table doubles as an end-to-end determinism check.  The
-floors compare the last row with the serial one; the ``1 (inline)``
-row is ungated and shows how much of that ratio is the fused path
-rather than parallel work.
+One deterministic world is run once per executor — the serial oracle
+(:class:`SerialExecutor`, the generic sampler, swapped into the sweep
+stage) and the default single inline fused shard
+(:class:`ProcessExecutor`) — and the monitor-sweep stage's
+:class:`PipelineMetrics` row gives each one's sweep wall time and FQDN
+throughput.  Both must export a byte-identical dataset; the bench
+asserts it, so the throughput table doubles as an end-to-end
+determinism check.  The floor compares the inline row with the serial
+one: the gain is the fused path's, since sweeps do not fork.
 
 Runs two ways:
 
 * under pytest (``pytest benchmarks/bench_sweep_parallel.py``): the
   laptop-fast small scenario, emitting ``benchmarks/results/``;
 * standalone (``python benchmarks/bench_sweep_parallel.py``): the
-  paper-scale default scenario (the acceptance run — ≥ 2× sweep
-  throughput at 4 workers), or ``--quick`` for the small one.
+  paper-scale default scenario (the acceptance run — ≥ 2× the serial
+  sweep's throughput), or ``--quick`` for the small one (≥ 1×).
 
 A second table measures the churn-proportional ``--incremental`` mode
 on the low-churn world: a full serial sweep (the gate's baseline), an
-ungated full fused sweep (one inline shard), and the incremental
-sweep at one worker (a single inline shard, isolating the revision
-journal's clean-skip savings from fork overhead).  The standalone
-acceptance gate is ≥ 2× the serial sweep's throughput with a
-byte-identical export.
+ungated full fused sweep (one inline shard), and the incremental sweep
+(one inline shard too, so the last two rows isolate the revision
+journal's clean-skip savings).  The standalone acceptance gate is ≥ 2×
+the serial sweep's throughput with a byte-identical export.
 """
 
 from __future__ import annotations
@@ -39,7 +35,7 @@ import os
 import pathlib
 import subprocess
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.export import dataset_to_json
 from repro.core.reporting import render_table
@@ -48,11 +44,11 @@ from repro.parallel.executor import ProcessExecutor, SerialExecutor
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-#: ``(workers, serial)`` variants measured, serial baseline first.
-VARIANTS = ((1, True), (1, False), (2, False), (4, False))
+#: ``serial`` flags of the variants measured, serial baseline first.
+VARIANTS = (True, False)
 
 
-def _config(scale: str, workers: int, weeks: Optional[int],
+def _config(scale: str, weeks: Optional[int],
             incremental: bool = False, low_churn: bool = False) -> ScenarioConfig:
     if scale == "tiny":
         config = ScenarioConfig.tiny()
@@ -62,7 +58,6 @@ def _config(scale: str, workers: int, weeks: Optional[int],
         config = ScenarioConfig()
     if weeks is not None:
         config.weeks = weeks
-    config.workers = workers
     config.incremental = incremental
     if low_churn:
         # The churn-proportional acceptance scenario: a quiet world
@@ -71,7 +66,7 @@ def _config(scale: str, workers: int, weeks: Optional[int],
     return config
 
 
-def run_variant(scale: str, workers: int, weeks: Optional[int],
+def run_variant(scale: str, weeks: Optional[int],
                 incremental: bool = False, low_churn: bool = False,
                 serial: bool = False) -> Dict:
     """One full scenario run; sweep cost read off the stage metrics.
@@ -80,8 +75,7 @@ def run_variant(scale: str, workers: int, weeks: Optional[int],
     CLI run uses it, so the baselines have to ask for it.
     """
     engine = build_scenario(
-        _config(scale, workers, weeks, incremental=incremental,
-                low_churn=low_churn)
+        _config(scale, weeks, incremental=incremental, low_churn=low_churn)
     )
     result = engine.payload
     if serial:
@@ -96,11 +90,13 @@ def run_variant(scale: str, workers: int, weeks: Optional[int],
         cache_hits = executor.extraction_cache.hits
         cache_misses = executor.extraction_cache.misses
         mode = executor.last_mode or "inline"
-    # Last week's report: wall is elapsed, cpu is summed shard
-    # sampling time (equal for a serial sweep).
+    # Last week's report: wall is elapsed, cpu is the shard's sampling
+    # time (equal for a serial sweep).
     report = executor.last_report if executor is not None else None
     return {
-        "workers": workers,
+        # Bench results are matched on (workers, mode) by ``repro perf``;
+        # every sweep runs in one process.
+        "workers": 1,
         "mode": mode,
         "incremental": incremental,
         "wall_s": sweep.wall_time,
@@ -118,25 +114,23 @@ def run_variant(scale: str, workers: int, weeks: Optional[int],
 
 
 def measure(scale: str, weeks: Optional[int] = None,
-            variants: Sequence[Tuple[int, bool]] = VARIANTS) -> List[Dict]:
-    runs = [run_variant(scale, workers, weeks, serial=serial)
-            for workers, serial in variants]
-    # Fault-free sharded runs merge deterministically: every worker
-    # count must export the byte-identical dataset.
+            variants: Sequence[bool] = VARIANTS) -> List[Dict]:
+    runs = [run_variant(scale, weeks, serial=serial) for serial in variants]
+    # The fused shard must record exactly what the serial oracle does.
     digests = {run["digest"] for run in runs}
-    assert len(digests) == 1, f"export digests diverged across workers: {digests}"
+    assert len(digests) == 1, f"export digests diverged across executors: {digests}"
     return runs
 
 
 def measure_isolated(scale: str, weeks: Optional[int] = None,
-                     variants: Sequence[Tuple[int, bool]] = VARIANTS) -> List[Dict]:
+                     variants: Sequence[bool] = VARIANTS) -> List[Dict]:
     """Like :func:`measure`, but each variant runs in a fresh interpreter.
 
     Back-to-back variants in one process are not measured under equal
     conditions: the later runs inherit a grown heap and GC pressure from
     the earlier ones and read 10-20% slower for identical work.  A
-    subprocess per variant gives every worker count the same cold start,
-    which is what a fair serial-vs-sharded comparison needs.
+    subprocess per variant gives each executor the same cold start,
+    which is what a fair serial-vs-inline comparison needs.
     """
     script = pathlib.Path(__file__).resolve()
     env = dict(os.environ)
@@ -144,9 +138,8 @@ def measure_isolated(scale: str, weeks: Optional[int] = None,
     existing = env.get("PYTHONPATH", "")
     env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
     runs: List[Dict] = []
-    for workers, serial in variants:
-        cmd = [sys.executable, str(script),
-               "--variant", str(workers), "--scale", scale]
+    for serial in variants:
+        cmd = [sys.executable, str(script), "--variant", "--scale", scale]
         if serial:
             cmd.append("--serial")
         if weeks is not None:
@@ -154,11 +147,11 @@ def measure_isolated(scale: str, weeks: Optional[int] = None,
         proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
         if proc.returncode != 0:
             raise RuntimeError(
-                f"bench variant workers={workers} failed:\n{proc.stderr}"
+                f"bench variant serial={serial} failed:\n{proc.stderr}"
             )
         runs.append(json.loads(proc.stdout.splitlines()[-1]))
     digests = {run["digest"] for run in runs}
-    assert len(digests) == 1, f"export digests diverged across workers: {digests}"
+    assert len(digests) == 1, f"export digests diverged across executors: {digests}"
     return runs
 
 
@@ -166,7 +159,7 @@ def render(runs: List[Dict], scale: str) -> str:
     baseline = runs[0]["throughput"]
     rows = [
         (
-            f"{run['workers']} ({run['mode']})",
+            run["mode"],
             run["items"],
             f"{run['wall_s']:.2f}",
             f"{run['throughput']:,.0f}",
@@ -179,12 +172,12 @@ def render(runs: List[Dict], scale: str) -> str:
         for run in runs
     ]
     return render_table(
-        ["workers", "fqdns swept", "sweep wall s", "fqdn/s", "speedup",
+        ["executor", "fqdns swept", "sweep wall s", "fqdn/s", "speedup",
          "last wk cpu/wall s", "cache hits", "cache misses"],
         rows,
         title=(
-            f"Sweep throughput, serial vs sharded ({scale} scenario, "
-            f"{runs[0]['weeks']} weeks, digests byte-identical)"
+            f"Sweep throughput, serial oracle vs one inline shard ({scale} "
+            f"scenario, {runs[0]['weeks']} weeks, digests byte-identical)"
         ),
     )
 
@@ -202,7 +195,7 @@ def emit_results(runs: List[Dict], scale: str, out=sys.stdout) -> str:
              ("workers", "mode", "items", "wall_s", "throughput")}
             for run in runs
         ],
-        "speedup_at_max_workers": (
+        "inline_speedup": (
             runs[-1]["throughput"] / baseline if baseline else 0.0
         ),
     }
@@ -223,14 +216,13 @@ INCREMENTAL_VARIANTS = ((False, True), (False, False), (True, False))
 def measure_incremental(scale: str, weeks: Optional[int] = None) -> List[Dict]:
     """Full-vs-incremental sweeps on the low-churn scenario.
 
-    All runs share the quiet world (0.2%/week release rate) at one
-    worker: the serial full sweep, then a single inline shard full and
-    incremental, so the last two isolate the journal's clean-skip
-    savings from fork overhead.  Every run must export the
-    byte-identical dataset (only the cost moves).
+    All runs share the quiet world (0.2%/week release rate): the
+    serial full sweep, then a single inline shard full and incremental,
+    so the last two isolate the journal's clean-skip savings.  Every
+    run must export the byte-identical dataset (only the cost moves).
     """
     runs = [
-        run_variant(scale, 1, weeks, incremental=incremental,
+        run_variant(scale, weeks, incremental=incremental,
                     low_churn=True, serial=serial)
         for incremental, serial in INCREMENTAL_VARIANTS
     ]
@@ -250,7 +242,7 @@ def measure_incremental_isolated(scale: str,
     runs: List[Dict] = []
     for incremental, serial in INCREMENTAL_VARIANTS:
         cmd = [sys.executable, str(script),
-               "--variant", "1", "--scale", scale, "--low-churn"]
+               "--variant", "--scale", scale, "--low-churn"]
         if incremental:
             cmd.append("--incremental")
         if serial:
@@ -335,12 +327,12 @@ def test_sweep_parallel_throughput(emit):
     emit_results(runs, "small")
     emit("sweep_parallel", render(runs, "small"))
     speedup = runs[-1]["throughput"] / runs[0]["throughput"]
-    # The sharded executor must never run slower than the serial
+    # The inline fused shard must never run slower than the serial
     # baseline; the >= 2x acceptance gate applies to the default-scale
     # standalone run, where steady-state weeks dominate.
-    assert speedup >= 1.0, f"4-worker sweep slower than serial: {speedup:.2f}x"
-    # The wall/cpu split must be sane on every variant: elapsed wall is
-    # never the N-fold shard-sum the old merge bug produced.
+    assert speedup >= 1.0, f"inline sweep slower than serial: {speedup:.2f}x"
+    # The wall/cpu split must be sane on both: cpu is the sampling time
+    # within the elapsed wall.
     for run in runs:
         assert run["last_sweep_wall_s"] > 0.0 and run["last_sweep_cpu_s"] > 0.0
         if run["mode"] == "serial":
@@ -368,9 +360,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "of the paper-scale default")
     parser.add_argument("--weeks", type=int, default=None,
                         help="override the scenario's week count")
-    parser.add_argument("--variant", type=int, default=None,
-                        help="internal: run one worker-count variant and "
-                             "print its result row as JSON")
+    parser.add_argument("--variant", action="store_true",
+                        help="internal: run one variant and print its "
+                             "result row as JSON")
     parser.add_argument("--serial", action="store_true",
                         help="internal: run the --variant on the serial "
                              "executor")
@@ -383,8 +375,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="internal: run the --variant on the quiet "
                              "(0.2%%/week release) world")
     args = parser.parse_args(argv)
-    if args.variant is not None:
-        run = run_variant(args.scale or "full", args.variant, args.weeks,
+    if args.variant:
+        run = run_variant(args.scale or "full", args.weeks,
                           incremental=args.incremental,
                           low_churn=args.low_churn, serial=args.serial)
         print(json.dumps(run))
@@ -398,7 +390,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"FAIL: speedup {speedup:.2f}x below the {floor:.1f}x floor",
               file=sys.stderr)
         return 1
-    print(f"speedup at {runs[-1]['workers']} workers: {speedup:.2f}x")
+    print(f"inline shard speedup over the serial oracle: {speedup:.2f}x")
     runs = measure_incremental_isolated(scale, weeks=args.weeks)
     emit_incremental(runs, scale)
     inc_speedup = runs[-1]["throughput"] / runs[0]["throughput"]

@@ -29,14 +29,18 @@ one broken analysis costs its report section, never the report.
 
 Observability: every task runs under an ``analysis.<name>`` span and
 bumps ``analysis.<name>.{ok,failed,skipped}`` counter series.  Pool
-children run on the sweep supervisor's fork primitive
+children run on the fork primitive
 (:func:`repro.parallel.supervisor.spawn`), which swaps in a fresh
 registry and buffer tracer and ships both home, so serial and parallel
 runs produce the same deterministic counters.
 
-Fault injection is suppressed for the duration of a run: the analyses
-are offline measurements over the finished world, and drawing from the
-fault streams here would make task outputs depend on execution order.
+The analyses are offline measurements over the finished world, so a
+run leaves that world as it found it.  Fault injection is suppressed
+for its duration (drawing from the fault streams here would make task
+outputs depend on execution order), and the resolver's passive-DNS
+feed is detached: an analysis that resolves a name would otherwise add
+sightings to the feed the report reads, and only on the serial path,
+since pool children write into their own copies.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import functools
 import select
 import time
 import traceback
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -260,7 +264,7 @@ def run_analyses(
     plan = getattr(result, "fault_plan", None)
     suppress = plan.suppressed() if plan is not None else nullcontext()
     started = time.perf_counter()
-    with suppress:
+    with suppress, _feed_detached(result):
         if workers == 1 or len(registry) <= 1 or not fork_available():
             done = _run_serial(result, registry)
             effective_workers = 1
@@ -283,6 +287,20 @@ def run_analyses(
         workers=effective_workers,
         wall_seconds=time.perf_counter() - started,
     )
+
+
+@contextmanager
+def _feed_detached(result) -> Iterator[None]:
+    """Detach the finished world's passive-DNS feed from its resolver."""
+    resolver = getattr(getattr(result, "internet", None), "resolver", None)
+    if resolver is None:
+        yield
+        return
+    feed, resolver.passive_dns = resolver.passive_dns, None
+    try:
+        yield
+    finally:
+        resolver.passive_dns = feed
 
 
 def _run_serial(result, registry: AnalysisRegistry) -> Dict[str, AnalysisOutcome]:

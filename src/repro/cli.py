@@ -5,8 +5,7 @@
     python -m repro run        [--seed N] [--weeks N] [--scale tiny|small|full]
                                [--notify] [--randomize-names] [--export PATH]
                                [--faults [LEVEL]] [--fault-seed N] [--retries N]
-                               [--workers N] [--incremental]
-                               [--worker-faults [RATE]] [--shard-deadline S]
+                               [--incremental]
                                [--checkpoint-dir DIR] [--checkpoint-every N]
                                [--resume]
     python -m repro report     [--seed N] [--scale ...]
@@ -56,29 +55,17 @@ budget.  ``pipeline`` additionally prints the resilience summary —
 injected-fault counts, client retries, breaker trips, quarantined
 FQDNs.
 
-``--workers N`` shards each weekly monitor sweep across N forked
-workers, merged deterministically in shard order: a fault-free run
-exports byte-identical datasets for any worker count.  The default,
-1, runs the same shard loop inline.
-
 ``--incremental`` makes sweeps churn-proportional: each week the
 monitor asks the world's revision journal what changed since its last
 pass and extends unchanged names' observation windows from its touch
 ledger instead of re-sampling them.  Exports stay byte-identical to a
-full sweep's for any seed and worker count.
+full sweep's for any seed.
 
 ``--linear-detector`` turns the detector's inverted signature/posting
 indexes off and matches with the paper-faithful linear scans; exports
 are byte-identical either way (the indexes only skip signatures and
 FQDNs that provably cannot match), so the flag exists as the
 benchmark/parity baseline.
-
-``--worker-faults [RATE]`` injects deterministic *process* faults into
-the sweep workers — SIGKILL'd children at RATE per shard span, hung
-children at RATE/2 — which the self-healing supervisor survives by
-re-dispatching failed shards; exports stay byte-identical to the
-fault-free run.  ``--shard-deadline S`` bounds each worker's wall
-clock (auto-set when hang faults are on).
 
 ``--checkpoint-dir DIR`` durably snapshots the whole engine every
 ``--checkpoint-every N`` weeks (atomic, checksummed, keep-last-3);
@@ -114,24 +101,18 @@ from repro.obs.profile import render_profile
 from repro.pipeline.store import CheckpointStore, atomic_write_text
 
 
-def _in_range(kind, low, high=None, above=False):
+def _in_range(kind, low, high=None):
     """An argparse ``type``: ``kind`` (int or float) at least ``low``.
 
-    ``high`` adds an upper bound and ``above=True`` makes ``low``
-    exclusive.  A value outside the range is a usage error (exit 2, one
-    line), not a silent clamp or a traceback from deep in the run.
+    ``high`` adds an upper bound.  A value outside the range is a usage
+    error (exit 2, one line), not a silent clamp or a traceback from
+    deep in the run.
     """
-    if above:
-        bound = f"above {low}"
-    elif high is None:
-        bound = f"{low} or more"
-    else:
-        bound = f"within [{low}, {high}]"
+    bound = f"{low} or more" if high is None else f"within [{low}, {high}]"
 
     def parse(text: str):
         value = kind(text)
-        fits = low < value if above else low <= value
-        if not (fits and (high is None or value <= high)):
+        if not (low <= value and (high is None or value <= high)):
             raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
         return value
 
@@ -173,10 +154,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--retries", type=_in_range(int, 0), default=None, metavar="N",
                          help="monitor retry budget for transient "
                               "failures (default: no retries)")
-        cmd.add_argument("--workers", type=_in_range(int, 1), default=1, metavar="N",
-                         help="sweep workers: shard the weekly monitor "
-                              "sweep across N forked workers (default 1 "
-                              "= one inline shard, no fork)")
         cmd.add_argument("--incremental", action="store_true",
                          help="churn-proportional sweeps: skip names whose "
                               "revision-journal dependencies are unchanged "
@@ -187,15 +164,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               "indexes and match with the paper-faithful "
                               "linear scans (byte-identical exports; the "
                               "benchmark baseline)")
-        cmd.add_argument("--worker-faults", nargs="?", const=0.05,
-                         type=_in_range(float, 0, 1), default=None, metavar="RATE",
-                         help="inject worker crash faults at RATE per shard "
-                              "span (and hangs at RATE/2); the supervisor "
-                              "recovers them (default 0.05 when given bare)")
-        cmd.add_argument("--shard-deadline", type=_in_range(float, 0, above=True),
-                         default=None, metavar="S",
-                         help="wall-clock budget per sweep worker before "
-                              "the supervisor reaps it (default: auto)")
         cmd.add_argument("--checkpoint-dir", metavar="DIR", default=None,
                          help="durably checkpoint the engine into DIR "
                               "(atomic, checksummed, keep-last-3)")
@@ -276,20 +244,8 @@ def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
         config.faults = FaultConfig.chaos(
             level=args.faults, seed=getattr(args, "fault_seed", None)
         )
-    worker_faults = getattr(args, "worker_faults", None)
-    if worker_faults is not None:
-        # Composes with --faults: worker faults ride the same FaultConfig
-        # (and the same independent --fault-seed) as the data-plane storm.
-        config.faults.enabled = True
-        if config.faults.fault_seed is None:
-            config.faults.fault_seed = getattr(args, "fault_seed", None)
-        config.faults.worker_crash_rate = worker_faults
-        config.faults.worker_hang_rate = worker_faults / 2
-    if getattr(args, "shard_deadline", None) is not None:
-        config.shard_deadline = args.shard_deadline
     if getattr(args, "retries", None) is not None:
         config.monitor.retry = RetryPolicy.standard(max(1, args.retries))
-    config.workers = args.workers
     config.incremental = bool(getattr(args, "incremental", False))
     config.detector.use_index = not getattr(args, "linear_detector", False)
     return config
@@ -508,7 +464,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
                                     "command": args.command,
                                     "seed": args.seed,
                                     "scale": args.scale,
-                                    "workers": config.workers,
                                     "incremental": config.incremental,
                                 },
                             ),

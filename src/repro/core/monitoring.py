@@ -243,8 +243,8 @@ class ExtractionCache:
     the body extracts to; ``sitemap`` maps a sitemap-body hash to its
     ``(size, count, sample)`` triple.  Entirely behaviour-transparent:
     a cached entry is byte-identical to re-extraction.  Disabled by
-    default (``WeeklyMonitor`` is built without one); the sharded
-    executor owns one per run and threads it into its shards.
+    default (``WeeklyMonitor`` is built without one); the sweep
+    executor owns one per run and threads it into every sweep.
     """
 
     html: Dict[str, Dict[str, object]] = field(default_factory=dict)
@@ -268,7 +268,7 @@ class TouchEntry:
     ``observed`` replays the passive-DNS observations the skipped
     resolution would have produced, keeping exports byte-identical.
     Entries are plain data (no live world references), so they survive
-    pickling across process-pool boundaries and checkpoint resumes.
+    checkpoint resumes.
     """
 
     fqdn: Name
@@ -280,11 +280,9 @@ class TouchEntry:
 class TouchLedger:
     """Size-capped store of :class:`TouchEntry` proofs, monitor-owned.
 
-    Replaces the old identity-comparison touch memo that workers used
-    to inject onto the monitor via a private attribute: entries here
-    are validated against the revision journal (value semantics), not
-    against Python object identity, so they stay valid across process
-    forks and site types.  ``cursor`` marks the journal position the
+    Entries are validated against the revision journal (value
+    semantics), not against Python object identity, so they stay valid
+    across checkpoint resumes and site types.  ``cursor`` marks the journal position the
     ledger was last reconciled at: every live entry's dependencies are
     unchanged as of that cursor, so one ``changed_since(cursor)`` call
     yields the sweep's dirty set.
@@ -301,8 +299,8 @@ class TouchLedger:
 
     def get(self, fqdn: Name) -> Optional[TouchEntry]:
         """The entry for ``fqdn``, if any.  Read-only: recency order is
-        deliberately not updated, so lookups behave identically whether
-        they happen inline or in a forked worker's copy."""
+        deliberately not updated, so checking a name during a sweep
+        never reorders evictions; only :meth:`put` refreshes it."""
         return self._entries.get(fqdn)
 
     def put(self, fqdn: Name, entry: TouchEntry) -> None:

@@ -5,7 +5,7 @@ the paper's three-year loop week by week on the stage-based
 :class:`~repro.pipeline.engine.PipelineEngine`: the legitimate world
 evolves, attacker campaigns hunt and hijack, users browse (and get
 their cookies stolen), the collector keeps expanding the monitored set,
-the monitor samples every monitored FQDN in shards, and the detector
+the monitor samples every monitored FQDN, and the detector
 turns changes into abuse records.  ``build_scenario`` exposes the
 composed-but-unrun engine for callers that want to step, checkpoint or
 resume the run themselves.  The returned :class:`ScenarioResult`
@@ -44,7 +44,6 @@ from repro.core.stages import (
 from repro.faults.plan import FaultConfig, FaultPlan
 from repro.faults.retry import CircuitBreaker, RetryPolicy
 from repro.parallel.executor import ProcessExecutor, SweepExecutor
-from repro.parallel.supervisor import SupervisorConfig
 from repro.pipeline.context import QuarantineRecord
 from repro.pipeline.engine import PipelineEngine
 from repro.pipeline.store import CheckpointStore
@@ -91,26 +90,12 @@ class ScenarioConfig:
     breaker_threshold: int = 5
     #: Retry budget for a stage tick that raises (1 = fail immediately).
     stage_retry_attempts: int = 1
-    #: Sweep workers: the monitored list is cut into this many shards
-    #: per weekly sweep, merged deterministically in shard order
-    #: (fault-free runs export byte-identical digests for any worker
-    #: count).  1 samples as a single inline shard; N > 1 forks when
-    #: more than one CPU is available.
-    workers: int = 1
     #: Churn-proportional sweeps: the monitor computes each week's
     #: dirty set from the world's revision journal and extends clean
     #: names' windows through its touch ledger instead of re-sampling
     #: them.  Exported digests stay byte-identical to a full sweep's
-    #: for any seed and worker count.
+    #: for any seed.
     incremental: bool = False
-    #: Supervisor wall-clock budget per shard worker, in seconds.
-    #: ``None`` auto-selects: a deadline is only needed when hang
-    #: faults are injected (workers cannot hang on their own in the
-    #: simulation), in which case a short one is chosen.
-    shard_deadline: Optional[float] = None
-    #: Supervisor re-dispatches of a failed shard span before it is
-    #: bisected toward quarantine.
-    shard_retries: int = 2
 
     @classmethod
     def tiny(cls, seed: int = 42) -> "ScenarioConfig":
@@ -205,10 +190,9 @@ def build_scenario(config: Optional[ScenarioConfig] = None) -> PipelineEngine:
             else streams.fork("faults")
         )
         fault_plan = FaultPlan(config.faults, fault_streams)
-        # The breaker guards the *data plane*; worker-only fault runs
-        # (crash/hang/poison) leave it out so the fused sampling path
-        # stays eligible and a recovered sweep's exports are
-        # byte-identical to a fault-free run's.
+        # The breaker guards the *data plane*: a plan whose every rate
+        # is zero draws nothing, so it leaves the breaker out and the
+        # fused sampling path eligible.
         if config.faults.any_active:
             breaker = CircuitBreaker(failure_threshold=config.breaker_threshold)
     # The world is built on a healthy Internet — chaos begins only once
@@ -260,20 +244,7 @@ def build_scenario(config: Optional[ScenarioConfig] = None) -> PipelineEngine:
         journal=internet.revisions,
         incremental=config.incremental,
     )
-    shard_deadline = config.shard_deadline
-    if shard_deadline is None and config.faults.worker_hang_rate > 0:
-        # Hung workers exist only by injection here, and an injected
-        # hang never recovers — a short deadline reaps it quickly
-        # without ever clipping a healthy worker (the simulation does
-        # no real I/O, so honest shards finish in milliseconds).
-        shard_deadline = 5.0
-    executor = ProcessExecutor(
-        workers=config.workers,
-        supervisor=SupervisorConfig(
-            shard_deadline=shard_deadline,
-            max_shard_retries=config.shard_retries,
-        ),
-    )
+    executor = ProcessExecutor()
     detector = AbuseDetector(monitor.store, config.detector, whois=internet.whois)
 
     harvester = BinaryHarvester(internet.client, internet.virustotal)

@@ -2,7 +2,7 @@
 
 Each class here is one component of the paper's weekly pipeline,
 expressed as a :class:`~repro.pipeline.stage.Stage` so the engine can
-order, time, checkpoint and (later) shard them.  ``build_stages``
+order, time and checkpoint them.  ``build_stages``
 composes the canonical nine-stage pipeline that ``run_scenario`` runs:
 
 ``world → orchestrator → users → collector-refresh → monitor-sweep →
@@ -125,13 +125,13 @@ class MonitorSweepStage(Stage):
     """Weekly sampling of every monitored FQDN, via a sweep executor.
 
     The sweep itself is delegated to a
-    :class:`~repro.parallel.executor.SweepExecutor` — by default one
-    inline shard of :class:`~repro.parallel.executor.ProcessExecutor`,
-    or as many shards as the scenario asks workers for.  FQDNs whose
-    final sample still ended in a transient failure after the monitor's
-    retry budget are dead-lettered onto the context's quarantine
-    instead of polluting the state store — the week's sweep degrades
-    to the reachable subset rather than aborting.
+    :class:`~repro.parallel.executor.SweepExecutor` — by default the
+    one inline shard of :class:`~repro.parallel.executor.ProcessExecutor`.
+    FQDNs whose final sample still ended in a transient failure after
+    the monitor's retry budget, and FQDNs whose sample raised, are
+    dead-lettered onto the context's quarantine instead of polluting
+    the state store — the week's sweep degrades to the reachable subset
+    rather than aborting.
     """
 
     name = "monitor-sweep"
@@ -145,7 +145,7 @@ class MonitorSweepStage(Stage):
     ):
         self._monitor = monitor
         self._collector = collector
-        self._executor = executor if executor is not None else ProcessExecutor(workers=1)
+        self._executor = executor if executor is not None else ProcessExecutor()
 
     def tick(self, ctx: WeekContext) -> Optional[int]:
         fqdns = self._collector.monitored_sorted
@@ -153,9 +153,9 @@ class MonitorSweepStage(Stage):
         for fqdn, status in report.failures:
             ctx.quarantine_item(fqdn, f"retries exhausted ({status})")
         for fqdn, reason in report.quarantined:
-            # Poison isolated by the supervisor's bisection: the name's
-            # worker died on every attempt, so it produced no sample.
-            ctx.quarantine_item(fqdn, f"poison shard: {reason}")
+            # The name's sample raised (attacker-served bytes can be
+            # anything), so it produced no sample this week.
+            ctx.quarantine_item(fqdn, f"sample raised: {reason}")
         ctx.put(CHANGED_PAIRS, report.changed)
         return len(fqdns)
 

@@ -85,7 +85,7 @@ class Resolver:
         self._passive_dns = passive_dns
         self.fault_plan = fault_plan
         #: Memo of (qname, qtype) → finished walk, used only after
-        #: :meth:`enable_memo`.  The sharded sweep re-resolves the same
+        #: :meth:`enable_memo`.  The weekly sweep re-resolves the same
         #: mostly-unchanged names thousands of times; a memo entry pins
         #: every *name* the walk consulted — the per-name mutation
         #: versions of the name and its wildcard key, plus which zone
@@ -104,15 +104,14 @@ class Resolver:
 
         Off by default so the generic sampler — chaos runs and the
         serial test oracle — keeps its exact cost profile; healthy
-        sweep shards switch it on as part of the fused path (inline on
-        the run's own resolver, each forked worker on its own copy).
+        sweep shards switch it on as part of the fused path.
         """
         self._memo_enabled = True
 
     @property
     def passive_dns(self) -> Optional[PassiveDNS]:
-        """The feed successful lookups mirror into (swappable, so a
-        shard worker can interpose an observation recorder)."""
+        """The feed successful lookups mirror into (swappable, so
+        ``run_analyses`` can detach it while analyses resolve names)."""
         return self._passive_dns
 
     @passive_dns.setter

@@ -17,8 +17,6 @@ from repro.faults.plan import (
     HTTP_503,
     ICMP_BLACKOUT,
     TRUNCATED_BODY,
-    WORKER_CRASH,
-    WORKER_HANG,
     FaultConfig,
     FaultPlan,
     FaultStats,
@@ -47,6 +45,4 @@ __all__ = [
     "OPEN",
     "RetryPolicy",
     "TRUNCATED_BODY",
-    "WORKER_CRASH",
-    "WORKER_HANG",
 ]

@@ -19,14 +19,14 @@ Enable it by installing real sinks::
         finally:
             OBS.reset()
 
-Forked workers — sweep shards and analysis tasks alike — swap in their
-own registry/buffer-tracer pair (:func:`repro.parallel.supervisor.spawn`)
-and ship both home with their result; the parent reduces registries
-with the associative :meth:`MetricsRegistry.merge_from` and replays
-trace events in shard (or task-registry) order, so worker count never
-changes the totals.  The
-series recorder lives parent-side only: it snapshots the *merged*
-registry at week boundaries, after every shard effect has landed.
+Forked analysis-pool workers swap in their own registry/buffer-tracer
+pair (:func:`repro.parallel.supervisor.spawn`) and ship both home with
+their result; the parent reduces registries with the associative
+:meth:`MetricsRegistry.merge_from` and replays trace events in
+task-registry order, so worker count never changes the totals.  Weekly
+sweeps run inline and record straight into the process's registry.
+The series recorder snapshots the registry at week boundaries, after
+every stage of the week has run.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 ``--trace-format chrome`` turns the JSONL span stream into the Chrome
 trace-event JSON that ``chrome://tracing`` and https://ui.perfetto.dev
-load directly, which is the fastest way to *see* a sweep: shard lanes
-fanning out under the monitor-sweep stage, the analysis pool chewing
+load directly, which is the fastest way to *see* a run: the sweep's
+shard lane under the monitor-sweep stage, the analysis pool chewing
 through tasks, checkpoint writes punctuating weeks.
 
 Lane mapping — the trace-event ``pid``/``tid`` pair — follows the
@@ -11,9 +11,7 @@ process topology the run actually had:
 
 * the main pipeline (stage spans, checkpoints) → pid 1 / tid 1;
 * ``sweep.shard`` spans and everything nested under them → pid 1 /
-  tid ``10 + shard_index`` (forked shard workers share the parent's
-  address-space snapshot, so "threads of the main process" reads
-  truthfully even though they were processes);
+  tid ``10 + shard_index`` (the inline sweep is shard 0, tid 10);
 * ``analysis.*`` spans → pid 2 (the analysis pool is a separate
   fan-out phase) with one tid per task, in first-seen order.
 

@@ -1,19 +1,18 @@
 """Counter/gauge/histogram registry with an associative merge.
 
-The sharded sweep runs shard-local work in forked children whose state
-dies with them, so observability counters must travel the same road as
-every other shard effect: captured per shard, shipped in the
-:class:`~repro.parallel.shard.ShardResult`, and reduced by the parent
-in shard order.  :meth:`MetricsRegistry.merge` is therefore built like
+The analysis pool runs tasks in forked children whose state dies with
+them, so each child's counters are captured in its own registry,
+shipped home with its result, and reduced by the parent in registry
+order.  :meth:`MetricsRegistry.merge` is therefore built like
 :meth:`repro.pipeline.metrics.StageMetrics.merge` — field-wise,
-associative and commutative — so reducing per-shard registries in any
+associative and commutative — so reducing per-worker registries in any
 bracketing yields the same totals as a single-process run.
 
 Registries hold **deterministic values only**: counts of events that a
 fixed seed replays identically.  Wall-clock timings never go in here —
 they belong to the :mod:`repro.obs.trace` span stream — which is what
 lets tests and CI diff registries across same-seed runs and across
-worker counts.
+analysis worker counts.
 """
 
 from __future__ import annotations
@@ -153,7 +152,7 @@ class MetricsRegistry:
     """Deterministic counters, high-watermark gauges and histograms.
 
     Cheap on purpose: an ``inc`` on an unlabelled series is one dict
-    get/set.  Instances pickle (they ride :class:`ShardResult` pipes),
+    get/set.  Instances pickle (they ride the analysis pool's pipes),
     and merging is associative and commutative — counters sum, gauges
     take the max, histograms add bucket-wise.
     """

@@ -16,7 +16,7 @@ Two kinds of data live here and must never be conflated:
   the seed; two same-seed runs must produce equal delta series, and the
   ``repro perf --check`` gate diffs exactly these.
 * **Wall-class**: CPU seconds (:func:`cpu_seconds_now`, from
-  ``os.times`` so forked shard children are included via the
+  ``os.times`` so reaped forked children are included via the
   children-time fields), peak RSS (:func:`peak_rss_kb`, from
   ``resource.getrusage`` where the platform has it), and wall seconds.
   These vary run to run and are *excluded* from determinism diffs —
@@ -51,8 +51,8 @@ def cpu_seconds_now() -> float:
     """Process CPU seconds so far, children included.
 
     ``os.times`` exposes user+system for the process and, crucially,
-    for reaped children — which is how the parent's stage accounting
-    sees the CPU burned inside forked shard workers after it waits on
+    for reaped children — which is how the parent's accounting sees the
+    CPU burned inside forked analysis-pool workers after it waits on
     them.
     """
     t = os.times()

@@ -1,10 +1,11 @@
-"""Sharded parallel execution of the weekly monitor sweep.
+"""Weekly sweep execution and the fork primitive.
 
-The monitored-FQDN list is the pipeline's unit of horizontal scale
-(Section 3.2 monitors millions of names weekly).  This package shards
-that list into contiguous slices, fans the slices out to workers, and
-merges the results deterministically in shard order, so a parallel
-sweep of a fault-free world is byte-identical to a serial one.
+The monitored-FQDN list is the pipeline's unit of scale (Section 3.2
+monitors millions of names weekly).  Each weekly sweep samples that
+list as one inline shard and records the results in input order, so a
+sweep of a fault-free world is byte-identical to a plain serial loop.
+The fork primitive (:mod:`repro.parallel.supervisor`) serves the
+analysis pool.
 """
 
 from repro.parallel.executor import (
@@ -13,26 +14,15 @@ from repro.parallel.executor import (
     SweepExecutor,
     SweepReport,
 )
-from repro.parallel.shard import ShardResult, fast_path_eligible, partition
-from repro.parallel.supervisor import (
-    DeadLetter,
-    SupervisedSweep,
-    SupervisorConfig,
-    WorkerFailure,
-    run_shards_supervised,
-)
+from repro.parallel.shard import ShardResult, fast_path_eligible
+from repro.parallel.supervisor import WorkerFailure
 
 __all__ = [
-    "DeadLetter",
     "ProcessExecutor",
     "SerialExecutor",
-    "SupervisedSweep",
-    "SupervisorConfig",
     "SweepExecutor",
     "SweepReport",
     "ShardResult",
     "WorkerFailure",
     "fast_path_eligible",
-    "partition",
-    "run_shards_supervised",
 ]

@@ -1,20 +1,11 @@
 """Shard-local sweep execution.
 
-One *shard* is a contiguous slice of the monitored-FQDN list, sampled
-start to finish by one worker.  :func:`run_shard` is pure with respect
-to the snapshot store: samples come back as data in input order and the
-executor records them into the parent store in shard order, which is
-what makes a sharded sweep byte-identical to a serial one — the store,
-the changed-pairs list and the quarantine list all see the exact same
-sequence either way.
-
-Forked shards run on the supervisor's fork primitive
-(:func:`repro.parallel.supervisor.spawn`), which ships the
-:class:`ShardResult` home over a pipe.  Anything a worker *would* have
-mutated in the parent is captured in the result and replayed by the
-parent, again in shard order: passive-DNS observations, new
-extraction-cache entries, and every counter the shard moved, as one
-delta dict (:func:`counter_snapshot`).
+A *shard* is one weekly sweep's monitored-FQDN list, sampled start to
+finish inline.  :func:`run_shard` is pure with respect to the snapshot
+store: samples come back as data in input order and the executor
+records them into the store afterwards, so the store, the
+changed-pairs list and the quarantine list all see the exact sequence
+a plain serial loop over ``WeeklyMonitor.sample`` would have produced.
 
 When the world is healthy (no fault plan drawing, no breaker, no retry
 budget, plain HTTP) a shard takes the *fused* sampling path: one
@@ -23,6 +14,13 @@ the sitemap fetched by reusing the index resolution instead of
 re-resolving.  The fused path replicates ``WeeklyMonitor.sample``
 semantics exactly — including recording non-5xx sitemap responses of
 any status — so its features are byte-identical to the generic path's.
+
+A name whose sample raises is a *dead letter*: the shard records it as
+``(fqdn, "ExcType: message")`` and moves on to the next name.  The
+attacker owns every byte a hijacked name serves, so a raising sample is
+an input, not a bug in the sweep; it costs that one name, and every
+other name is still sampled exactly once.  Whatever the raising sample
+did before it raised (passive-DNS sightings, counters) stays.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from repro.dns.names import Name
 from repro.dns.records import RRType
 from repro.dns.resolver import ResolutionStatus, Resolver
 from repro.dns.zone import ZONE_SET_KEY
-from repro.obs import OBS, MetricsRegistry, cpu_seconds_now, peak_rss_kb
+from repro.obs import OBS, cpu_seconds_now, peak_rss_kb
 from repro.web.client import FetchStatus
 from repro.web.http import HttpRequest
 
@@ -90,8 +88,7 @@ def _ledger_entry(
     response came through, and the journal-adopted site whose content
     was hashed.  While none of those subjects move, the observable
     state provably equals ``previous.state_key()``.  Entries are plain
-    data — they survive pickling across worker pipes, unlike the old
-    identity memo whose child-created entries died with the fork.
+    data, so they checkpoint with the monitor.
     """
     site_for = getattr(host, "site_for", None)
     if site_for is None:
@@ -135,9 +132,8 @@ def _touch_clean(
     none of the entry's journal dependencies moved since the ledger's
     cursor, and the stored state the entry extends is still current.
     The only side effects are the passive-DNS observations the skipped
-    resolution would have produced — replayed by value, which works
-    identically against the parent feed (inline) and the forked-mode
-    recorder — plus the sample counter.
+    resolution would have produced, replayed by value, plus the sample
+    counter.
     """
     entry = ledger.get(fqdn)
     if entry is None:
@@ -161,155 +157,31 @@ def _touch_clean(
 
 @dataclass
 class ShardResult:
-    """Everything one shard's sweep produced, as replayable data."""
+    """Everything one shard's sweep produced, as data for the executor."""
 
-    index: int
     size: int
     #: Store-eligible samples in input order (transient finals
     #: excluded).  An entry is either a full :class:`SnapshotFeatures`
     #: or a bare FQDN — a *touch marker* meaning the observed state
-    #: provably equals the latest stored one, so the parent just bumps
-    #: that state's observation window (``SnapshotStore.touch``) the
-    #: way ``record`` would have deduplicated the full sample.
+    #: provably equals the latest stored one, so the executor just
+    #: bumps that state's observation window (``SnapshotStore.touch``)
+    #: the way ``record`` would have deduplicated the full sample.
     sampled: List[Union[SnapshotFeatures, Name]] = field(default_factory=list)
     #: Retry-exhausted (fqdn, fetch_status) pairs, in input order.
     failures: List[Tuple[Name, str]] = field(default_factory=list)
-    #: How far the shard moved every counter :func:`counter_snapshot`
-    #: reads.  A forked parent replays the delta; inline, the parent's
-    #: counters already moved.
-    counters: Dict[str, float] = field(default_factory=dict)
-    #: Passive-DNS (record, at) replay log — populated in forked mode
-    #: only; inline shards observe the parent feed directly.
-    observations: List[Tuple[object, datetime]] = field(default_factory=list)
-    #: Extraction-cache entries this shard added (forked mode only).
-    new_html: Dict[str, Dict[str, object]] = field(default_factory=dict)
-    new_sitemap: Dict[str, Tuple[int, int, Tuple[str, ...]]] = field(default_factory=dict)
+    #: Dead letters: (fqdn, "ExcType: message") for every name whose
+    #: sample raised, in input order.  Such a name produced no sample.
+    quarantined: List[Tuple[Name, str]] = field(default_factory=list)
     #: Fresh :class:`TouchEntry` proofs minted by this shard's touch
-    #: markers (incremental mode only).  Plain data, so they survive
-    #: the pickle pipe; the parent installs them into the monitor's
-    #: ledger in shard order — the old identity memo lost every entry
-    #: a forked child created.
+    #: markers (incremental mode only); the executor installs them into
+    #: the monitor's ledger as it records the markers.
     ledger_entries: Dict[Name, TouchEntry] = field(default_factory=dict)
     wall_seconds: float = 0.0
     #: CPU seconds burned sampling this shard (wall-class: feeds the
     #: resource accounting, excluded from determinism diffs).
     cpu_seconds: float = 0.0
-    #: Peak RSS of the worker process in KiB (forked mode: the child's
-    #: own peak; inline: the parent's, so only max-merged, never summed).
+    #: Peak RSS of the process in KiB (max-merged, never summed).
     peak_rss_kb: int = 0
-    #: Shard-local observability, shipped home in forked mode only:
-    #: the child's :class:`MetricsRegistry` (merged associatively by
-    #: the parent) and its buffered trace events (replayed in shard
-    #: order).  ``None``/empty while observability is off or inline.
-    metrics: Optional[MetricsRegistry] = None
-    trace_events: List[dict] = field(default_factory=list)
-
-
-#: Key prefix of the per-kind injected-fault counts in a counter dict.
-_INJECTED = "injected."
-
-
-def _counter_cells(monitor: WeeklyMonitor, cache: Optional[ExtractionCache]):
-    """``(key, owner, attribute)`` of every scalar counter a shard moves."""
-    client = monitor.client
-    cells = [
-        ("samples", monitor, "samples_taken"),
-        ("sitemap_fetches", monitor, "sitemap_fetches"),
-        ("retries", client, "retries_total"),
-        ("backoff_seconds", client, "backoff_seconds_total"),
-    ]
-    if client.breaker is not None:
-        cells.append(("breaker_trips", client.breaker, "trips"))
-    if cache is not None:
-        cells.append(("cache_hits", cache, "hits"))
-        cells.append(("cache_misses", cache, "misses"))
-    return cells
-
-
-def counter_snapshot(
-    monitor: WeeklyMonitor, cache: Optional[ExtractionCache]
-) -> Dict[str, float]:
-    """Every counter a shard moves, read into one flat dict.
-
-    Monitor samples and sitemap fetches, client retries and backoff,
-    breaker trips, injected faults by kind, and extraction-cache hits
-    and misses.  These are plain attributes, not registry series: the
-    observability registry is off unless tracing, and every run needs
-    them.  A shard's delta is ``add_counters(after, before, -1)``.
-    """
-    counters = {
-        key: getattr(owner, attr) for key, owner, attr in _counter_cells(monitor, cache)
-    }
-    plan = monitor.client.fault_plan
-    if plan is not None:
-        for kind, count in plan.stats.injected.items():
-            counters[_INJECTED + kind] = count
-    return counters
-
-
-def add_counters(
-    left: Dict[str, float], right: Dict[str, float], sign: int = 1
-) -> Dict[str, float]:
-    """Key-wise ``left + sign * right``."""
-    total = dict(left)
-    for key, value in right.items():
-        total[key] = total.get(key, 0) + sign * value
-    return total
-
-
-def write_counters(
-    monitor: WeeklyMonitor,
-    cache: Optional[ExtractionCache],
-    counters: Dict[str, float],
-) -> None:
-    """Set the live counters to a :func:`counter_snapshot`-shaped dict."""
-    for key, owner, attr in _counter_cells(monitor, cache):
-        setattr(owner, attr, counters[key])
-    plan = monitor.client.fault_plan
-    if plan is not None:
-        injected = plan.stats.injected
-        injected.clear()
-        for key, count in counters.items():
-            if key.startswith(_INJECTED):
-                injected[key[len(_INJECTED):]] = count
-
-
-class _RecordingPassiveDNS:
-    """Proxy feed that logs every observation while forwarding it."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.log: List[Tuple[object, datetime]] = []
-
-    def observe(self, record, at):
-        self.log.append((record, at))
-        return self._inner.observe(record, at)
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
-def partition(items: Sequence, shards: int) -> List[List]:
-    """Split ``items`` into at most ``shards`` contiguous, balanced slices.
-
-    Earlier slices take the remainder, sizes differ by at most one, and
-    concatenating the slices reproduces the input order — the property
-    the deterministic shard-order merge relies on.
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    items = list(items)
-    count = min(shards, len(items))
-    if count == 0:
-        return []
-    base, extra = divmod(len(items), count)
-    slices: List[List] = []
-    start = 0
-    for i in range(count):
-        size = base + (1 if i < extra else 0)
-        slices.append(items[start:start + size])
-        start += size
-    return slices
 
 
 def fast_path_eligible(monitor: WeeklyMonitor) -> bool:
@@ -331,33 +203,23 @@ def fast_path_eligible(monitor: WeeklyMonitor) -> bool:
 
 def run_shard(
     monitor: WeeklyMonitor,
-    index: int,
     fqdns: Sequence[Name],
     at: datetime,
     cache: Optional[ExtractionCache],
-    forked: bool,
 ) -> ShardResult:
     """Sample one shard and return its results as data.
 
-    Never records into the snapshot store.  In ``forked`` mode the
-    passive-DNS feed is interposed so observations can be replayed by
-    the parent, and new extraction-cache entries are collected for
-    shipping; inline mode mutates the parent's feed/cache directly.
+    Never records into the snapshot store; the passive-DNS feed and the
+    extraction cache are written directly.  A name whose sample raises
+    becomes a dead letter in ``quarantined`` and the loop goes on.
     """
     resolver = monitor.client.resolver
     started = time.perf_counter()
     cpu0 = cpu_seconds_now()
-    counters0 = counter_snapshot(monitor, cache)
     previous_cache = monitor.extraction_cache
     monitor.extraction_cache = cache
-    html_keys0 = set(cache.html) if (forked and cache is not None) else set()
-    sitemap_keys0 = set(cache.sitemap) if (forked and cache is not None) else set()
-    recorder = None
-    if forked and resolver.passive_dns is not None:
-        recorder = _RecordingPassiveDNS(resolver.passive_dns)
-        resolver.passive_dns = recorder
 
-    result = ShardResult(index=index, size=len(fqdns))
+    result = ShardResult(size=len(fqdns))
     try:
         fused = fast_path_eligible(monitor)
         obs_on = OBS.enabled
@@ -370,71 +232,64 @@ def run_shard(
         ledger_out: Optional[Dict[Name, TouchEntry]] = None
         if fused:
             # Part of the fast path: version-validated resolution
-            # memoization.  Forked workers enable it on their own copy;
-            # inline mode enables it process-wide, which is safe —
-            # every hit is revalidated against the zone versions and
-            # replays identical passive-DNS observations.
+            # memoization, switched on for the run's resolver.  Every
+            # hit is revalidated against the zone versions and replays
+            # identical passive-DNS observations.
             resolver.enable_memo()
             if monitor.incremental and monitor.journal is not None:
                 # The sweep's dirty set: every journal subject that
                 # moved since the ledger's cursor.  The world is
-                # quiescent during a sweep, so the set is identical in
-                # every shard — and empty in the steady state, making
-                # the per-name check one dict get plus a guard.
+                # quiescent during a sweep, so the set holds for every
+                # name — and is empty in the steady state, making the
+                # per-name check one dict get plus a guard.
                 ledger = monitor.touch_ledger
                 changed = monitor.journal.changed_since(ledger.cursor)
                 ledger_out = result.ledger_entries
         headers = {"User-Agent": monitor.config.user_agent}
-        # ``seq=index`` pins the span's path id to the shard index, so
-        # the id is identical whether the shard ran forked, inline or
-        # serially re-dispatched — worker topology never shows in ids.
+        # ``seq=0`` pins the span's path id (and its trace lane) to
+        # shard 0, whatever else the sweep stage opened first.
         with OBS.tracer.span(
-            "sweep.shard", sim=at, seq=index, shard=index, size=len(fqdns),
+            "sweep.shard", sim=at, seq=0, shard=0, size=len(fqdns),
             mode="fused" if fused else "generic",
         ):
             for fqdn in fqdns:
-                if fused:
-                    if ledger is not None and _touch_clean(
-                        monitor, resolver, ledger, changed, fqdn, at
-                    ):
+                try:
+                    if fused:
+                        if ledger is not None and _touch_clean(
+                            monitor, resolver, ledger, changed, fqdn, at
+                        ):
+                            if obs_on:
+                                OBS.metrics.inc("monitor.samples")
+                                OBS.metrics.inc("journal.clean_skips")
+                            result.sampled.append(fqdn)
+                            continue
+                        features = _sample_fused(monitor, fqdn, at, headers, ledger_out)
+                        if not isinstance(features, SnapshotFeatures):
+                            # Touch marker: the state is unchanged, ship
+                            # the name alone and let the executor bump
+                            # the window.
+                            if obs_on:
+                                OBS.metrics.inc("sweep.sample.touch")
+                            result.sampled.append(features)
+                            continue
                         if obs_on:
-                            OBS.metrics.inc("monitor.samples")
-                            OBS.metrics.inc("journal.clean_skips")
-                        result.sampled.append(fqdn)
-                        continue
-                    features = _sample_fused(monitor, fqdn, at, headers, ledger_out)
-                    if not isinstance(features, SnapshotFeatures):
-                        # Touch marker: the state is unchanged, ship the
-                        # name alone and let the parent bump the window.
+                            OBS.metrics.inc("sweep.sample.full")
+                    else:
+                        features = monitor.sample(fqdn, at)
                         if obs_on:
-                            OBS.metrics.inc("sweep.sample.touch")
-                        result.sampled.append(features)
-                        continue
-                    if obs_on:
-                        OBS.metrics.inc("sweep.sample.full")
-                else:
-                    features = monitor.sample(fqdn, at)
-                    if obs_on:
-                        OBS.metrics.inc("sweep.sample.generic")
+                            OBS.metrics.inc("sweep.sample.generic")
+                except Exception as error:
+                    result.quarantined.append(
+                        (fqdn, f"{type(error).__name__}: {error}")
+                    )
+                    continue
                 if features.fetch_status in TRANSIENT_SAMPLE_STATUSES:
                     result.failures.append((fqdn, features.fetch_status))
                 else:
                     result.sampled.append(features)
     finally:
         monitor.extraction_cache = previous_cache
-        if recorder is not None:
-            resolver.passive_dns = recorder._inner
 
-    result.counters = add_counters(counter_snapshot(monitor, cache), counters0, -1)
-    if recorder is not None:
-        result.observations = recorder.log
-    if forked and cache is not None:
-        result.new_html = {
-            key: cache.html[key] for key in cache.html.keys() - html_keys0
-        }
-        result.new_sitemap = {
-            key: cache.sitemap[key] for key in cache.sitemap.keys() - sitemap_keys0
-        }
     result.wall_seconds = time.perf_counter() - started
     result.cpu_seconds = cpu_seconds_now() - cpu0
     result.peak_rss_kb = peak_rss_kb()
@@ -591,27 +446,3 @@ def _sample_fused(
                 features, sitemap_size=size, sitemap_count=count, sitemap_sample=sample
             )
     return features
-
-
-# -- shard identity -------------------------------------------------------
-
-
-def shard_bounds(shards: Sequence[Sequence[Name]]) -> List[Tuple[int, int]]:
-    """Each shard's ``[start, end)`` slice of the full monitored list.
-
-    Shards are contiguous (:func:`partition`), so the bounds are just
-    running offsets — the identity operators need to act on a worker
-    error ("which FQDN range died?") without replaying the partition.
-    """
-    bounds: List[Tuple[int, int]] = []
-    offset = 0
-    for shard in shards:
-        bounds.append((offset, offset + len(shard)))
-        offset += len(shard)
-    return bounds
-
-
-def shard_ident(index: int, bounds: Tuple[int, int]) -> str:
-    """Human-actionable shard identity for worker error messages."""
-    start, end = bounds
-    return f"shard {index} (names[{start}:{end}], {end - start} FQDNs)"

@@ -200,9 +200,9 @@ class PipelineEngine:
                 elapsed = time.perf_counter() - started
                 self.metrics.record_tick(stage.name, elapsed, int(items or 0))
                 if OBS.enabled:
-                    # ``cpu_seconds_now`` counts reaped children, so a
-                    # stage that forked shard workers is charged for
-                    # the CPU they burned, not just the parent's share.
+                    # ``cpu_seconds_now`` counts reaped children too,
+                    # so a stage that forks would be charged for the
+                    # CPU its workers burned (weekly stages run inline).
                     OBS.series.record_stage(
                         stage.name, cpu_seconds_now() - cpu0, elapsed
                     )
@@ -245,7 +245,7 @@ class PipelineEngine:
         if OBS.enabled:
             # Week boundary: snapshot the counter registry so the
             # series holds this week's deltas.  After the stage loop —
-            # every shard effect has merged by now — and before the
+            # every stage's counters have landed by now — and before the
             # clock advances, so the stamp is the week that just ran.
             OBS.series.snapshot(self.week_index, ctx.at, OBS.metrics)
         self.week_index += 1

@@ -250,6 +250,24 @@ def test_engine_metrics_identical_serial_vs_pool(tiny_result):
     assert serial.get("analysis.clustering.ok") == 1
 
 
+@pytest.mark.parametrize("workers", [1, 4])
+def test_run_analyses_leaves_the_passive_dns_feed_as_it_found_it(tiny_result, workers):
+    # Analyses resolve names through the finished world's resolver.  The
+    # feed they would write into is the one the report reads, and only
+    # the serial path would write it (pool children write their copies).
+    def feed_digest():
+        feed = tiny_result.internet.passive_dns
+        return repr(sorted(
+            (key, obs.first_seen, obs.last_seen, obs.count)
+            for key, obs in feed._observations.items()
+        ))
+
+    before = feed_digest()
+    run_analyses(tiny_result, workers=workers)
+    assert feed_digest() == before
+    assert tiny_result.internet.resolver.passive_dns is tiny_result.internet.passive_dns
+
+
 # -- cooccurrence postings rewrite -----------------------------------------
 
 

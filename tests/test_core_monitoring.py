@@ -19,7 +19,7 @@ T0 = datetime(2020, 1, 6)
 def _executors():
     """Every sweep test runs through both executors: the generic-path
     oracle and the default path, one inline fused shard."""
-    return (SerialExecutor(), ProcessExecutor(workers=1))
+    return (SerialExecutor(), ProcessExecutor())
 
 
 def _fresh_internet() -> Internet:

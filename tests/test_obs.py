@@ -3,7 +3,7 @@
 Covers the registry merge algebra (counters sum, gauges max,
 histograms add bucket-wise — associatively and commutatively), the
 tracer's sampling and determinism contracts, the disabled-mode no-op
-path, shard registry parity across worker counts, and regressions for
+path, and regressions for
 the three bugfixes that rode along: the SweepReport wall/cpu merge
 (in test_parallel), the IssuanceError-only exception handling in the
 world builders, and the `duration_days` wall-clock footgun.
@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.detection import AbuseEpisode
 from repro.core.duration import require_sim_now
-from repro.core.scenario import ScenarioConfig, build_scenario, run_scenario
+from repro.core.scenario import ScenarioConfig, run_scenario
 from repro.obs import (
     NULL_METRICS,
     NULL_SPAN,
@@ -29,7 +29,6 @@ from repro.obs import (
     metric_key,
     sim_projection,
 )
-from repro.parallel.executor import ProcessExecutor
 from repro.pki.ca import IssuanceError
 from repro.sim.clock import SimClock
 from repro.sim.rng import RngStreams
@@ -211,10 +210,9 @@ def test_trace_file_round_trips(tmp_path):
     assert events[1]["counters"] == {"c": 2}
 
 
-def _traced_run(workers=1, weeks=4):
+def _traced_run(weeks=4):
     config = ScenarioConfig.tiny()
     config.weeks = weeks
-    config.workers = workers
     registry = MetricsRegistry()
     tracer = BufferTracer()
     OBS.configure(metrics=registry, tracer=tracer)
@@ -236,64 +234,6 @@ def test_same_seed_traces_have_identical_sim_projections():
     assert reg_a == reg_b
     assert reg_a.counter("monitor.samples") > 0
     assert reg_a.counter("resolver.queries") > 0
-
-
-# -- shard registry parity -------------------------------------------------
-
-#: Counter prefixes whose *split* (not total) depends on shard
-#: topology: shard-count bookkeeping, and the content-addressed
-#: extraction cache that forked children duplicate before the parent
-#: merge.
-TOPOLOGY_PREFIXES = ("sweep.shards.", "extraction.")
-
-
-def _forked_run(workers, weeks=4):
-    config = ScenarioConfig.tiny()
-    config.weeks = weeks
-    config.workers = workers
-    engine = build_scenario(config)
-    executor = engine.payload.executor
-    if isinstance(executor, ProcessExecutor):
-        executor.use_fork = True  # pin fork mode on single-CPU runners
-    registry = MetricsRegistry()
-    OBS.configure(metrics=registry, tracer=BufferTracer())
-    try:
-        engine.run()
-    finally:
-        OBS.reset()
-    return registry
-
-
-def _invariant_counters(registry):
-    return {
-        key: value
-        for key, value in registry.counters().items()
-        if not key.startswith(TOPOLOGY_PREFIXES)
-    }
-
-
-def test_shard_registries_merge_to_the_same_totals_across_worker_counts():
-    two = _forked_run(2)
-    four = _forked_run(4)
-    assert _invariant_counters(two) == _invariant_counters(four)
-    # The extraction-cache split varies with shard count, but the
-    # total lookups must not.
-    for series in ("extraction.html", "extraction.sitemap"):
-        total_two = two.counter(f"{series}.hits") + two.counter(f"{series}.misses")
-        total_four = four.counter(f"{series}.hits") + four.counter(f"{series}.misses")
-        assert total_two == total_four
-
-
-def test_forked_registry_matches_serial_on_shared_series():
-    serial_reg = _traced_run(workers=1)[1]
-    forked = _forked_run(2)
-    # One worker samples as an inline shard and two fork, and forked
-    # children's caches die with them each week, so only series both
-    # topologies record identically compare: sample totals and the
-    # detector, which runs in the parent either way.
-    for series in ("monitor.samples", "detector.signature_matches",
-                   "detector.signatures_extracted"):
-        assert serial_reg.counter(series) == forked.counter(series), series
 
 
 # -- bugfix regressions: exception handling in the world builders ----------

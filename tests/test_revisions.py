@@ -6,7 +6,7 @@ the journal wiring of every world-mutation path, and the tentpole
 contract: incremental sweeps extend clean names' windows from ledger
 proofs, pick up every kind of staleness (content mutation, resource
 re-registration, new zone registration), and stay byte-identical to a
-full sweep — serially and under a forked ProcessExecutor.
+full sweep of the serial oracle.
 """
 
 from datetime import datetime, timedelta
@@ -203,11 +203,9 @@ def _run_weeks(internet, monitor, executor, fqdns, schedule, weeks):
 
 
 def _executors():
-    # "serially" = one inline shard; "parallel" = >= 4 forked workers.
-    return [
-        pytest.param(dict(workers=1, use_fork=False), id="serial"),
-        pytest.param(dict(workers=4, use_fork=True), id="forked-4"),
-    ]
+    # The incremental side sweeps as the one inline shard every run
+    # uses ("serial": no fork); the id keeps these cases' names stable.
+    return [pytest.param({}, id="serial")]
 
 
 def _parity_case(executor_kwargs, schedule_builder, weeks=6):
@@ -327,24 +325,9 @@ def test_ledger_cursor_advances_with_the_journal():
     internet = _internet()
     _, _, fqdn = _victim(internet)
     monitor = _incremental_monitor(internet)
-    executor = ProcessExecutor(workers=1, use_fork=False)
+    executor = ProcessExecutor()
     assert monitor.touch_ledger.cursor == 0
     executor.sweep(monitor, [fqdn], T0)
     assert monitor.touch_ledger.cursor == internet.revisions.cursor()
     executor.sweep(monitor, [fqdn], T0 + WEEK)
     assert len(monitor.touch_ledger) == 1  # proof minted by the touch
-
-
-def test_ledger_entries_survive_the_fork_boundary():
-    # The old identity memo lost every entry a forked child created;
-    # ledger proofs are data and ship home through the result pipe.
-    internet = _internet()
-    _, _, shop = _victim(internet, "shop")
-    _, _, mail = _victim(internet, "mail")
-    monitor = _incremental_monitor(internet)
-    executor = ProcessExecutor(workers=2, use_fork=True)
-    executor.sweep(monitor, [shop, mail], T0)
-    executor.sweep(monitor, [shop, mail], T0 + WEEK)
-    assert executor.last_mode == "fork"
-    assert monitor.touch_ledger.get(shop) is not None
-    assert monitor.touch_ledger.get(mail) is not None

@@ -3,16 +3,21 @@
 The measurement side cannot assume well-formed content, sane DNS, or
 cooperative servers — attacker pages are arbitrary bytes and real zones
 contain loops.  These tests feed the monitor/detector pathological
-inputs and assert graceful degradation, never crashes.
+inputs and assert graceful degradation, never crashes: a name the
+sampler cannot handle costs that name alone, as a dead letter.
 """
 
 from datetime import datetime, timedelta
 
+from hypothesis import HealthCheck, given, settings, strategies as st
+
 from repro.core.changes import detect_changes
 from repro.core.detection import AbuseDetector
 from repro.core.monitoring import WeeklyMonitor
+from repro.core.stages import MonitorSweepStage
 from repro.dns.records import RRType, ResourceRecord
 from repro.parallel import ProcessExecutor, SerialExecutor
+from repro.pipeline.context import WeekContext
 from repro.sim.clock import SimClock
 from repro.sim.rng import RngStreams
 from repro.web.html import parse_html
@@ -80,7 +85,7 @@ def test_detector_survives_pathological_states():
     """Garbage, loops and 5xx all flow through detection untouched."""
     # Both executors: the generic-path oracle and the default inline
     # fused shard, whose 5xx and loop branches are its own code.
-    for executor in (SerialExecutor(), ProcessExecutor(workers=1)):
+    for executor in (SerialExecutor(), ProcessExecutor()):
         internet = Internet(RngStreams(7), SimClock())
         garbage_site = StaticSite()
         garbage_site.put_index("<<<not html % \x00")
@@ -156,43 +161,130 @@ def test_fork_failure_leaks_no_file_descriptors(monkeypatch):
     assert count_fds() == before
 
 
-def test_worker_errors_carry_shard_identity(internet):
-    """A dying worker's error names its shard index and slice bounds."""
-    import pytest
-    from repro.core.monitoring import WeeklyMonitor as Monitor
-    from repro.parallel import SupervisorConfig, WorkerFailure
-    from repro.parallel.shard import partition, shard_ident
-    from repro.parallel.supervisor import ShardSupervisor
-
-    assert shard_ident(2, (10, 15)) == "shard 2 (names[10:15], 5 FQDNs)"
-
-    monitor = Monitor(internet.client)
-    # A non-string FQDN explodes inside the worker's sampling loop; the
-    # failure reason must say which shard (and which slice) died, forked
-    # or inline.
-    fqdns = ["ok0.acme.com", "ok1.acme.com", None, "ok2.acme.com"]
-    shards = partition(fqdns, 2)
-    for forked in (True, False):
-        supervisor = ShardSupervisor(monitor, T0, None, SupervisorConfig(), forked)
-        with pytest.raises(WorkerFailure) as excinfo:
-            supervisor._attempt(1, shards[1], (2, 4), fault=None)
-        assert excinfo.value.kind == "error"
-        assert "shard 1 (names[2:4], 2 FQDNs)" in str(excinfo.value)
+def _histories(monitor, names):
+    return {
+        name: [
+            (s.features, s.first_seen, s.last_seen, s.observations)
+            for s in monitor.store.history(name)
+        ]
+        for name in names
+    }
 
 
-def test_supervised_sweep_quarantines_unsampleable_name(internet):
-    """The supervisor turns a poison input into a dead letter, not a crash."""
-    from repro.core.monitoring import WeeklyMonitor as Monitor
-    from repro.parallel import SupervisorConfig, run_shards_supervised
-    from repro.parallel.shard import partition
-
-    monitor = Monitor(internet.client)
-    fqdns = ["ok0.acme.com", "ok1.acme.com", None, "ok2.acme.com"]
-    shards = partition(fqdns, 2)
-    outcome = run_shards_supervised(
-        monitor, shards, T0, None, SupervisorConfig(), forked=True
+def _sightings(internet, skip=None):
+    """The passive-DNS feed as (key, first, last, count), minus ``skip``."""
+    return sorted(
+        (key, obs.first_seen, obs.last_seen, obs.count)
+        for key, obs in internet.resolver.passive_dns._observations.items()
+        if obs.record.name != skip
     )
-    assert [d.fqdn for d in outcome.quarantined] == [None]
-    assert outcome.quarantined[0].shard_index == 1
-    sampled = sum(len(r.sampled) + len(r.failures) for r in outcome.results)
-    assert sampled == len(fqdns) - 1
+
+
+def test_sweep_dead_letters_unsampleable_name():
+    """A name whose sample raises costs that name, and only it.
+
+    The sweep runs through the monitor-sweep stage's default executor.
+    Every other name must be sampled exactly once a week: the store and
+    the passive-DNS sightings of the healthy names equal those of the
+    same sweep without the raising name.
+    """
+    evil = "evil.acme.com"
+
+    def sweep(hostile):
+        internet = Internet(RngStreams(7), SimClock())
+        names = []
+        for i in range(64):
+            site = StaticSite()
+            site.put_index(
+                f"<html><head><title>Shop {i % 3}</title></head><body>{i}</body></html>"
+            )
+            names.append(f"ok{i:02d}.acme.com")
+            _route(internet, names[-1], site)
+        if hostile:
+            def explode(request):
+                raise RuntimeError("attacker-served bytes")
+
+            _route(internet, evil, CallableSite(explode))
+            names.insert(32, evil)
+        monitor = WeeklyMonitor(internet.client)
+
+        class Collector:
+            monitored_sorted = names
+
+        stage = MonitorSweepStage(monitor, Collector())
+        letters = []
+        for week in range(2):
+            ctx = WeekContext(at=T0 + week * WEEK, week_index=week, streams=RngStreams(1))
+            stage.tick(ctx)
+            letters.extend((record.item, record.reason) for record in ctx.quarantine)
+        healthy = [name for name in names if name != evil]
+        return (
+            letters, _histories(monitor, healthy), _sightings(internet, skip=evil),
+            monitor.samples_taken,
+        )
+
+    clean_letters, clean_histories, clean_sightings, clean_samples = sweep(False)
+    letters, histories, sightings, samples = sweep(True)
+    assert clean_letters == []
+    assert letters == [(evil, "sample raised: RuntimeError: attacker-served bytes")] * 2
+    assert histories == clean_histories
+    assert sightings == clean_sightings
+    # What the raising sample did before it raised stays: it counted.
+    assert samples == clean_samples + 2
+
+
+#: Text an attacker might serve: arbitrary unicode, or markup fragments
+#: stitched together so the HTML and sitemap parsers see tags, broken
+#: attributes, entities and deep nesting.
+_FRAGMENTS = (
+    "<html>", "<head>", "<title>", "</title>", "<meta name=\"keywords\" content=\"",
+    "\">", "<script src=\"", "<a href=\"", "?ref=", "<body>", "<p>", "</p>",
+    "<urlset>", "<url>", "<loc>", "</loc>", "</url>", "</urlset>", "<!--",
+    "-->", "&amp;", "&#x0;", "\x00", "judi slot gacor", "http://", "\u202e",
+)
+_HOSTILE_TEXT = st.one_of(
+    st.text(max_size=200),
+    st.lists(st.one_of(st.sampled_from(_FRAGMENTS), st.text(max_size=12)),
+             max_size=30).map("".join),
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(pages=st.lists(
+    st.tuples(_HOSTILE_TEXT, _HOSTILE_TEXT, _HOSTILE_TEXT), min_size=1, max_size=4,
+))
+def test_hostile_pages_become_states_or_dead_letters(pages):
+    """Arbitrary served text never crashes a sweep.
+
+    Each routed site serves an index and a sitemap, and redeploys a new
+    index in week two.  The default executor sweeps them for two weeks;
+    every name ends as the stored history the serial oracle records on
+    a twin world, or as a dead letter (which the oracle then skips).
+    """
+    def world():
+        internet = Internet(RngStreams(7), SimClock())
+        sites = []
+        for i, (index, sitemap, _) in enumerate(pages):
+            site = StaticSite()
+            site.put_index(index)
+            site.put("/sitemap.xml", sitemap, content_type="application/xml")
+            _route(internet, f"h{i}.acme.com", site)
+            sites.append(site)
+        return internet, sites
+
+    names = [f"h{i}.acme.com" for i in range(len(pages))]
+    internet, sites = world()
+    twin, twin_sites = world()
+    monitor, oracle = WeeklyMonitor(internet.client), WeeklyMonitor(twin.client)
+    executor = ProcessExecutor()
+    for week in range(2):
+        if week == 1:
+            for (_, _, redeploy), site, twin_site in zip(pages, sites, twin_sites):
+                site.put_index(redeploy)
+                twin_site.put_index(redeploy)
+        at = T0 + week * WEEK
+        report = executor.sweep(monitor, names, at)
+        dead = {name for name, _ in report.quarantined}
+        SerialExecutor().sweep(oracle, [n for n in names if n not in dead], at)
+    assert _histories(monitor, names) == _histories(oracle, names)

@@ -1,34 +1,22 @@
-"""Tests for the self-healing sweep supervisor and the checkpoint store.
+"""Tests for the checkpoint store, and for a raising name's dead letter.
 
-Covers the failure model end to end: workers killed by SIGKILL
-mid-shard, workers hung past the deadline, truncated result payloads,
-poison-shard bisection down to the single offending FQDN, and the
-determinism contract that a recovered sweep's results are identical to
-a fault-free run's (modulo quarantined names).  The checkpoint half
-covers the frame validation (torn, bad magic, checksum mismatch),
-rotation, recovery past corrupt files, and full-scenario resume.
+The checkpoint half covers the frame validation (torn, bad magic,
+checksum mismatch), rotation, recovery past corrupt files, and
+full-scenario resume.  A name whose sample raises costs that one name:
+it reaches the engine's dead letters through the executor and the
+monitor-sweep stage, and the run goes on.
 """
 
 import os
 import pickle
-from datetime import datetime, timedelta
+from datetime import datetime
 
 import pytest
 
-from repro.core.monitoring import WeeklyMonitor
 from repro.core.scenario import ScenarioConfig, build_scenario, run_scenario
 from repro.core.export import dataset_to_json
-from repro.dns.records import RRType, ResourceRecord
-from repro.faults.plan import FaultConfig, FaultPlan
-from repro.parallel import (
-    ProcessExecutor,
-    SerialExecutor,
-    SupervisorConfig,
-    run_shards_supervised,
-)
-from repro.parallel.shard import partition
-from repro.parallel import supervisor as supervisor_module
-from repro.pipeline.engine import Checkpoint, PipelineEngine
+from repro.parallel import shard as shard_module
+from repro.pipeline.engine import Checkpoint
 from repro.pipeline.store import (
     CheckpointCorruptError,
     CheckpointStore,
@@ -36,269 +24,36 @@ from repro.pipeline.store import (
     decode_checkpoint,
     encode_checkpoint,
 )
-from repro.sim.clock import SimClock
-from repro.sim.rng import RngStreams
-from repro.world.internet import Internet
 
 T0 = datetime(2020, 1, 6)
-WEEK = timedelta(weeks=1)
 
 
-def _world(n=8, fault_config=None):
-    internet = Internet(RngStreams(7), SimClock())
-    azure = internet.catalog.provider("Azure")
-    zone = internet.zones.create_zone("acme.com")
-    fqdns = []
-    for i in range(n):
-        resource = azure.provision("azure-web-app", f"acme-svc{i}", owner="org:acme", at=T0)
-        fqdn = f"svc{i}.acme.com"
-        zone.add(ResourceRecord(fqdn, RRType.CNAME, resource.generated_fqdn), T0)
-        azure.add_custom_domain(resource, fqdn, T0)
-        resource.site.put_index(
-            f"<html><head><title>Site {i}</title></head><body>s{i}</body></html>"
-        )
-        fqdns.append(fqdn)
-    if fault_config is not None:
-        internet.client.fault_plan = FaultPlan.from_seed(fault_config, 11)
-    return internet, sorted(fqdns)
-
-
-def _histories(monitor, fqdns):
-    return {
-        fqdn: [
-            (s.features, s.first_seen, s.last_seen, s.observations)
-            for s in monitor.store.history(fqdn)
-        ]
-        for fqdn in fqdns
-    }
-
-
-def _apply_sweep(monitor, outcome, at, forked):
-    """Record a supervised sweep's results the way the executor does."""
-    executor = ProcessExecutor(workers=1)
-    executor._apply(monitor, outcome.results, forked, at, outcome.quarantined)
-
-
-# -- happy-path parity -----------------------------------------------------
-
-
-@pytest.mark.parametrize("forked", [False, True])
-def test_supervised_sweep_matches_unsupervised(forked):
-    # Forked and inline supervised sweeps ship the same per-shard
-    # results, and both record the store an unsupervised serial sweep
-    # records.
-    internet, fqdns = _world()
-    monitor = WeeklyMonitor(internet.client)
-    shards = partition(fqdns, 3)
-    outcome = run_shards_supervised(
-        monitor, shards, T0, None, SupervisorConfig(), forked=forked
-    )
-    assert not outcome.quarantined
-    assert outcome.worker_crashes == outcome.worker_hangs == 0
-    inline_world, _ = _world()
-    inline = run_shards_supervised(
-        WeeklyMonitor(inline_world.client), shards, T0, None,
-        SupervisorConfig(), forked=False,
-    )
-    assert len(outcome.results) == len(inline.results) == len(shards)
-    for ours, theirs in zip(outcome.results, inline.results):
-        assert ours.sampled == theirs.sampled
-        assert ours.failures == theirs.failures
-    _apply_sweep(monitor, outcome, T0, forked)
-    serial_world, _ = _world()
-    serial = WeeklyMonitor(serial_world.client)
-    SerialExecutor().sweep(serial, fqdns, T0)
-    assert _histories(monitor, fqdns) == _histories(serial, fqdns)
-    assert monitor.samples_taken == serial.samples_taken == len(fqdns)
-
-
-def test_failed_inline_attempts_leave_no_counter_side_effects():
-    # A failed forked attempt's counters die with its worker, so a
-    # failed inline attempt must restore all of them too: quarantining
-    # the bad name takes several doomed attempts, and their extraction-
-    # cache lookups (12 extra here) must not stay counted.
-    def sweep(names, use_fork):
-        internet, _ = _world()
-        monitor = WeeklyMonitor(internet.client)
-        executor = ProcessExecutor(workers=2, use_fork=use_fork)
-        report = executor.sweep(monitor, names, T0)
-        cache = executor.extraction_cache
-        counters = (
-            cache.hits + cache.misses, monitor.samples_taken,
-            monitor.sitemap_fetches,
-        )
-        return counters, [fqdn for fqdn, _ in report.quarantined]
-
-    _, fqdns = _world()
-    poisoned = fqdns[:6] + [None] + fqdns[6:]
-    clean, none_quarantined = sweep(fqdns, use_fork=False)
-    assert none_quarantined == []
-    assert clean == (2 * len(fqdns), len(fqdns), len(fqdns))
-    assert sweep(poisoned, use_fork=False) == (clean, [None])
-    assert sweep(poisoned, use_fork=True) == (clean, [None])
-
-
-# -- worker death (SIGKILL mid-shard) --------------------------------------
-
-
-@pytest.mark.parametrize("forked", [False, True])
-def test_crashed_workers_are_redispatched_never_quarantined(forked):
-    # Rate 1.0: EVERY shard's first dispatch dies by SIGKILL (forked) or
-    # a simulated crash (inline).  The fault is drawn only on the first
-    # attempt, so one re-dispatch per shard always recovers — random
-    # crashes must never reach quarantine.
-    internet, fqdns = _world(
-        fault_config=FaultConfig(enabled=True, worker_crash_rate=1.0)
-    )
-    monitor = WeeklyMonitor(internet.client)
-    shards = partition(fqdns, 3)
-    outcome = run_shards_supervised(
-        monitor, shards, T0, None, SupervisorConfig(), forked=forked
-    )
-    assert not outcome.quarantined
-    assert outcome.worker_crashes == len(shards)
-    assert outcome.shard_retries == len(shards)
-    assert sum(len(r.sampled) + len(r.failures) for r in outcome.results) == len(fqdns)
-
-
-def test_crash_recovered_sweep_records_same_store_as_fault_free():
-    healthy, fqdns = _world()
-    clean = WeeklyMonitor(healthy.client)
-    chaotic, _ = _world(
-        fault_config=FaultConfig(enabled=True, worker_crash_rate=0.6)
-    )
-    stormy = WeeklyMonitor(chaotic.client)
-    at = T0
-    for _ in range(3):
-        for monitor in (clean, stormy):
-            shards = partition(fqdns, 4)
-            forked = monitor is stormy
-            outcome = run_shards_supervised(
-                monitor, shards, at, None, SupervisorConfig(), forked=forked
-            )
-            assert not outcome.quarantined
-            _apply_sweep(monitor, outcome, at, forked)
-        at += WEEK
-    assert _histories(stormy, fqdns) == _histories(clean, fqdns)
-
-
-# -- hung workers reaped at the deadline -----------------------------------
-
-
-@pytest.mark.parametrize("forked", [False, True])
-def test_hung_workers_are_reaped_at_deadline_and_redispatched(forked):
-    internet, fqdns = _world(
-        fault_config=FaultConfig(enabled=True, worker_hang_rate=1.0)
-    )
-    monitor = WeeklyMonitor(internet.client)
-    shards = partition(fqdns, 2)
-    outcome = run_shards_supervised(
-        monitor, shards, T0, None,
-        SupervisorConfig(shard_deadline=0.3), forked=forked,
-    )
-    assert not outcome.quarantined
-    assert outcome.worker_hangs == len(shards)
-    assert sum(len(r.sampled) + len(r.failures) for r in outcome.results) == len(fqdns)
-
-
-# -- truncated result payloads ---------------------------------------------
-
-
-def test_truncated_payload_is_detected_and_retried(tmp_path, monkeypatch):
-    internet, fqdns = _world()
-    monitor = WeeklyMonitor(internet.client)
-    shards = partition(fqdns, 2)
-    latch = tmp_path / "truncated-once"
-    real_send = supervisor_module._send_payload
-
-    def flaky_send(write_fd, payload):
-        # First worker to report ships half its pickle then dies; the
-        # latch file makes the fault one-shot across forked children.
-        try:
-            fd = os.open(latch, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            real_send(write_fd, payload)
-            return
-        os.close(fd)
-        supervisor_module._write_all(
-            write_fd, supervisor_module._LENGTH.pack(len(payload)) + payload[: len(payload) // 2]
-        )
-        os.close(write_fd)
-        os._exit(0)
-
-    monkeypatch.setattr(supervisor_module, "_send_payload", flaky_send)
-    outcome = run_shards_supervised(
-        monitor, shards, T0, None, SupervisorConfig(), forked=True
-    )
-    assert latch.exists()
-    assert not outcome.quarantined
-    assert outcome.worker_crashes == 1
-    assert outcome.shard_retries == 1
-    assert sum(len(r.sampled) + len(r.failures) for r in outcome.results) == len(fqdns)
-
-
-# -- poison isolation via bisection ----------------------------------------
-
-
-@pytest.mark.parametrize("forked", [False, True])
-def test_poison_fqdn_is_bisected_to_exact_quarantine(forked):
-    internet, fqdns = _world(n=9)
-    poison = fqdns[4]
-    internet.client.fault_plan = FaultPlan.from_seed(
-        FaultConfig(enabled=True, poison_fqdns=(poison,)), 11
-    )
-    monitor = WeeklyMonitor(internet.client)
-    shards = partition(fqdns, 3)
-    outcome = run_shards_supervised(
-        monitor, shards, T0, None, SupervisorConfig(), forked=forked
-    )
-    assert [d.fqdn for d in outcome.quarantined] == [poison]
-    letter = outcome.quarantined[0]
-    assert letter.shard_index == 1
-    # The dead-letter reason carries the shard identity of the failure.
-    assert "names[" in letter.reason
-    # Everything except the poison name was sampled, in order.
-    sampled = [
-        s if isinstance(s, str) else s.fqdn
-        for r in outcome.results
-        for s in r.sampled
-    ]
-    assert sampled == [f for f in fqdns if f != poison]
-
-
-def test_poison_quarantine_survives_executor_and_stage(tmp_path):
+def test_poison_quarantine_survives_executor_and_stage(monkeypatch):
+    # Hostile bytes can make a sample raise.  That name is dead-lettered
+    # once per sweep as "sample raised: ..."; the week goes on.
     config = ScenarioConfig.tiny()
     config.weeks = 4
-    config.workers = 2
     engine = build_scenario(config)
     engine.run(max_weeks=2)
     result = engine.payload
     poison = result.collector.monitored_sorted[3]
-    result.fault_plan = result.monitor.client.fault_plan = FaultPlan.from_seed(
-        FaultConfig(enabled=True, poison_fqdns=(poison,)), 11
-    )
+    real_sample = shard_module._sample_fused
+
+    def sample(monitor, fqdn, *args):
+        if fqdn == poison:
+            raise ValueError("hostile bytes")
+        return real_sample(monitor, fqdn, *args)
+
+    monkeypatch.setattr(shard_module, "_sample_fused", sample)
+    samples = result.monitor.samples_taken
     engine.run(max_weeks=1)
     quarantined = [r for r in engine.dead_letters if r.item == poison]
-    assert quarantined and "poison shard" in quarantined[0].reason
-
-
-def test_worker_fault_draws_are_per_shard_deterministic():
-    plan_a = FaultPlan.from_seed(
-        FaultConfig(enabled=True, worker_crash_rate=0.4, worker_hang_rate=0.2), 5
-    )
-    plan_b = FaultPlan.from_seed(
-        FaultConfig(enabled=True, worker_crash_rate=0.4, worker_hang_rate=0.2), 5
-    )
-    # Same seed, same per-shard streams: identical storms, even when one
-    # plan draws its shards in a different order.
-    draws_a = [plan_a.worker_fault(i) for i in range(6)]
-    draws_b = [plan_b.worker_fault(i) for i in reversed(range(6))]
-    assert draws_a == list(reversed(draws_b))
-
-
-def test_supervisor_config_rejects_zero_retry_budget():
-    with pytest.raises(ValueError):
-        SupervisorConfig(max_shard_retries=0)
+    assert [r.reason for r in quarantined] == [
+        "sample raised: ValueError: hostile bytes"
+    ]
+    # Every other name was still sampled, once.
+    monitored = result.collector.monitored_count()
+    assert result.monitor.samples_taken - samples == monitored - 1
 
 
 # -- checkpoint frame ------------------------------------------------------

@@ -4,10 +4,10 @@ Covers the deterministic span-id assignment rules (path ids from
 per-parent sequence counters, explicit ``seq=`` pinning), context-var
 parenting, the tracer's context-manager close-on-error contract, the
 metric-key label escaping and per-series histogram bounds fixes, the
-week-series delta math, and the two cross-run contracts the ISSUE
-gates on: same-seed sim projections (ids included) byte-identical
-across worker counts / incremental modes, and the Chrome trace-event
-export loading as valid, monotonic trace JSON.
+week-series delta math, and the two cross-run contracts: same-seed
+sim projections (ids included) byte-identical across executors and
+incremental modes, and the Chrome trace-event export loading as valid,
+monotonic trace JSON.
 """
 
 import json
@@ -30,7 +30,7 @@ from repro.obs import (
     sim_projection,
 )
 from repro.obs.chrome import chrome_trace, render_chrome
-from repro.parallel.executor import ProcessExecutor
+from repro.parallel.executor import SerialExecutor
 
 T0 = datetime(2020, 1, 6)
 
@@ -68,8 +68,8 @@ def test_nested_spans_build_path_ids_and_record_parents():
 
 
 def test_explicit_seq_pins_the_id_regardless_of_open_order():
-    # Shard spans pass seq=shard_index so the id reflects simulation
-    # structure, not dispatch order.
+    # An explicit seq makes the id reflect simulation structure, not
+    # the order spans happened to open in.
     tracer = BufferTracer()
     with tracer.span("sweep"):
         with tracer.span("sweep.shard", seq=3, shard=3):
@@ -104,8 +104,9 @@ def test_events_record_the_enclosing_span_as_parent():
 
 
 def test_replayed_buffer_events_keep_their_child_assigned_ids():
-    # Forked shard flow: child buffers under the inherited context,
-    # parent replays verbatim — ids survive untouched.
+    # Forked worker flow (the analysis pool's): the child buffers under
+    # the inherited context, the parent replays verbatim — ids survive
+    # untouched.
     parent = BufferTracer()
     with parent.span("sweep"):
         child = parent.fork_buffer()
@@ -223,18 +224,17 @@ def test_stage_rows_accumulate_and_shard_rss_takes_the_max():
     assert series.shard_rows()[1]["runs"] == 2
 
 
-# -- cross-topology projection parity --------------------------------------
+# -- cross-executor projection parity --------------------------------------
 
 
-def _traced_scenario(workers, weeks=4, incremental=False):
+def _traced_scenario(weeks=4, incremental=False, serial=False):
     config = ScenarioConfig.tiny()
     config.weeks = weeks
-    config.workers = workers
     config.incremental = incremental
     engine = build_scenario(config)
-    executor = engine.payload.executor
-    if isinstance(executor, ProcessExecutor):
-        executor.use_fork = True  # pin fork mode on single-CPU runners
+    if serial:
+        stage = next(s for s in engine.stages if s.name == "monitor-sweep")
+        stage._executor = engine.payload.executor = SerialExecutor()
     registry = MetricsRegistry()
     tracer = BufferTracer()
     OBS.configure(metrics=registry, tracer=tracer,
@@ -248,8 +248,8 @@ def _traced_scenario(workers, weeks=4, incremental=False):
 
 
 def test_same_config_rerun_is_identical_including_ids():
-    a = _traced_scenario(workers=4)
-    b = _traced_scenario(workers=4)
+    a = _traced_scenario()
+    b = _traced_scenario()
     assert a and sim_projection(a) == sim_projection(b)
     span_ids = [e["id"] for e in a if e["type"] == "span"]
     assert len(span_ids) == len(set(span_ids))  # ids are unique
@@ -257,31 +257,32 @@ def test_same_config_rerun_is_identical_including_ids():
 
 
 def test_parity_projection_is_topology_invariant():
-    serial = _traced_scenario(workers=1)
-    forked = _traced_scenario(workers=4)
-    incremental = _traced_scenario(workers=4, incremental=True)
-    assert parity_projection(serial) == parity_projection(forked)
-    assert parity_projection(forked) == parity_projection(incremental)
-    # The full projections legitimately differ (per-shard spans exist
-    # only where shards do) — that's exactly what parity_projection
-    # factors out.
-    assert sim_projection(serial) != sim_projection(forked)
+    serial = _traced_scenario(serial=True)
+    inline = _traced_scenario()
+    incremental = _traced_scenario(incremental=True)
+    assert parity_projection(serial) == parity_projection(inline)
+    assert parity_projection(inline) == parity_projection(incremental)
+    # The full projections legitimately differ (the serial oracle opens
+    # no shard span) — that's exactly what parity_projection factors
+    # out.
+    assert sim_projection(serial) != sim_projection(inline)
 
 
-def test_forked_shard_spans_nest_under_the_sweep_stage():
-    events = _traced_scenario(workers=4)
+def test_shard_spans_nest_under_the_sweep_stage():
+    events = _traced_scenario()
     shard_spans = [e for e in events if e["name"] == "sweep.shard"]
-    assert shard_spans
+    assert len(shard_spans) == 4  # one inline shard a week
     for span in shard_spans:
         assert span["parent"].startswith("stage.monitor-sweep#")
-        assert span["id"] == f"{span['parent']}/sweep.shard#{span['shard']}"
+        assert span["shard"] == 0
+        assert span["id"] == f"{span['parent']}/sweep.shard#0"
 
 
 # -- chrome export ---------------------------------------------------------
 
 
 def test_chrome_export_is_valid_trace_event_json():
-    events = _traced_scenario(workers=4)
+    events = _traced_scenario()
     doc = json.loads(render_chrome(events))
     assert doc["displayTimeUnit"] == "ms"
     trace_events = doc["traceEvents"]
@@ -304,14 +305,14 @@ def test_chrome_export_is_valid_trace_event_json():
 
 
 def test_chrome_export_maps_shards_to_their_own_lanes():
-    events = _traced_scenario(workers=4)
+    events = _traced_scenario()
     doc = chrome_trace(events)
     shard_tids = {
         entry["tid"]
         for entry in doc["traceEvents"]
         if entry["ph"] == "X" and entry["name"] == "sweep.shard"
     }
-    assert shard_tids == {10, 11, 12, 13}
+    assert shard_tids == {10}
     thread_names = {
         (entry["pid"], entry["tid"]): entry["args"]["name"]
         for entry in doc["traceEvents"]
