@@ -1,10 +1,10 @@
-"""Report-engine benchmark: the old serial report vs the task-graph engine.
+"""Report-engine benchmark: the old report vs the task-graph engine.
 
-``python -m repro report`` used to run every Section 4–6 analysis
-strictly serially, with Figure 27's ``cooccurrence_edges`` computed by
-an O(n²) all-pairs scan over the identifier map.  The rework runs the
-analyses as a task graph on a forked pool and walks co-occurrence
-through the per-domain postings index instead — O(co-occurring pairs).
+``python -m repro report`` used to compute Figure 27's
+``cooccurrence_edges`` by an O(n²) all-pairs scan over the identifier
+map.  The engine walks co-occurrence through the per-domain postings
+index instead — O(co-occurring pairs).  Both run the analyses in
+registry order, in one process.
 
 The simulated world underproduces attacker identifiers relative to the
 real measurement (the paper extracts ~31.5k phone numbers, social
@@ -15,11 +15,11 @@ finished scenario — the ``identifiers`` task returns the synthetic map,
 and everything downstream (clustering, co-occurrence, every renderer)
 runs the production path over it.
 
-Baseline = serial engine + the retained ``cooccurrence_edges_naive``
-scan (the pre-rework report).  Candidate = forked pool + postings
-walk.  The two must agree byte-for-byte: the bench asserts identical
-edge lists and identical rendered reports, so the speedup table doubles
-as a parity check.
+Baseline = the engine + the retained ``cooccurrence_edges_naive`` scan
+(the pre-rework report).  Candidate = the engine + the postings walk.
+The two must agree byte-for-byte: the bench asserts identical edge
+lists and identical rendered reports, so the speedup table doubles as
+a parity check.
 
 Runs two ways:
 
@@ -61,10 +61,6 @@ QUICK_SCALE = dict(n_identifiers=1_600, n_campaigns=60, weeks=16)
 #: Report wall-clock gates (baseline wall / engine wall).
 PAPER_GATE = 2.0
 QUICK_GATE = 1.3
-
-#: Pool width for the candidate run (the engine merges in registry
-#: order, so any width is byte-identical).
-WORKERS = 4
 
 
 def build_identifier_map(rng: random.Random, n_identifiers: int,
@@ -114,18 +110,14 @@ def bench_registry(synthetic_map: IdentifierMap, naive: bool) -> AnalysisRegistr
     return AnalysisRegistry(tasks)
 
 
-def run_variant(result, synthetic_map: IdentifierMap, *, naive: bool,
-                workers: int) -> Dict:
+def run_variant(result, synthetic_map: IdentifierMap, *, naive: bool) -> Dict:
     started = time.perf_counter()
-    run = run_analyses(
-        result, registry=bench_registry(synthetic_map, naive=naive),
-        workers=workers,
-    )
+    run = run_analyses(result, registry=bench_registry(synthetic_map, naive=naive))
     report = build_report(result, run=run)
     wall = time.perf_counter() - started
     assert not run.failed, [outcome.error for outcome in run.failed]
     return {
-        "path": "serial+naive-edges" if naive else f"pool[{workers}]+postings",
+        "path": "serial+naive-edges" if naive else "serial+postings",
         "wall_s": wall,
         "edges": run.payload("cooccurrence"),
         "report": report,
@@ -140,15 +132,15 @@ def measure(n_identifiers: int, n_campaigns: int, weeks: int,
     config = ScenarioConfig.tiny(seed=seed)
     config.weeks = weeks
     result = run_scenario(config)
-    baseline = run_variant(result, synthetic_map, naive=True, workers=1)
-    engine = run_variant(result, synthetic_map, naive=False, workers=WORKERS)
+    baseline = run_variant(result, synthetic_map, naive=True)
+    engine = run_variant(result, synthetic_map, naive=False)
     # Parity is the contract: the postings walk must emit the byte-same
-    # edge list as the all-pairs scan, and the pooled report must be
-    # byte-identical to the serial baseline's rendering.
+    # edge list as the all-pairs scan, and the engine's report must be
+    # byte-identical to the baseline's rendering.
     assert engine["edges"] == baseline["edges"], \
         "postings co-occurrence diverged from the all-pairs scan"
     assert engine["report"] == baseline["report"], \
-        "pooled report diverged from the serial baseline"
+        "engine report diverged from the baseline"
     # Sanity: the grafted workload is actually paper-shaped.
     assert len(cooccurrence_edges(synthetic_map)) > n_identifiers / 4
     return [baseline, engine]

@@ -91,7 +91,7 @@ def run_variant(scale: str, weeks: Optional[int],
         cache_misses = executor.extraction_cache.misses
         mode = executor.last_mode or "inline"
     # Last week's report: wall is elapsed, cpu is the shard's sampling
-    # time (equal for a serial sweep).
+    # CPU (the serial oracle reports its elapsed time for both).
     report = executor.last_report if executor is not None else None
     return {
         # Bench results are matched on (workers, mode) by ``repro perf``;
@@ -331,7 +331,7 @@ def test_sweep_parallel_throughput(emit):
     # baseline; the >= 2x acceptance gate applies to the default-scale
     # standalone run, where steady-state weeks dominate.
     assert speedup >= 1.0, f"inline sweep slower than serial: {speedup:.2f}x"
-    # The wall/cpu split must be sane on both: cpu is the sampling time
+    # The wall/cpu split must be sane on both: cpu is the sampling CPU
     # within the elapsed wall.
     for run in runs:
         assert run["last_sweep_wall_s"] > 0.0 and run["last_sweep_cpu_s"] > 0.0

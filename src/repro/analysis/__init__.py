@@ -1,10 +1,10 @@
-"""The analysis engine: the paper's figures as a parallel task graph.
+"""The analysis engine: the paper's figures as a task graph.
 
 ``repro.analysis`` turns the Section 4–6 analyses (clustering, SEO,
 victimology, durations, certificates, cookies, malware, ...) into a
-declarative task registry executed serially or on a forked pool with
-byte-identical output, per-task failure isolation, ``analysis.<name>``
-observability series and a machine-readable JSON export.
+declarative task registry run in order, in process, with per-task
+failure isolation, ``analysis.<name>`` observability series and a
+machine-readable JSON export.
 ``repro.core.paper_report.build_report`` is a thin composition over
 this package.
 """

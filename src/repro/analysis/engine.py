@@ -1,26 +1,14 @@
-"""Declarative analysis-task registry and parallel task-graph executor.
+"""Declarative analysis-task registry and its in-process executor.
 
 Every Section 4–6 analysis behind the paper's figures used to run
-strictly serially inside one monolithic string-builder; this module
-makes the analysis tier a first-class, parallelizable, observable
-stage.  An :class:`AnalysisTask` names one pure analysis — a function
-of the finished :class:`~repro.core.scenario.ScenarioResult` (plus the
-payloads of declared upstream tasks) returning a picklable payload —
-and an :class:`AnalysisRegistry` holds them in a fixed order that
-doubles as the topological order of the task graph (dependencies must
-be registered first).
-
-:func:`run_analyses` executes a registry two ways with byte-identical
-results:
-
-* ``workers <= 1`` — the serial parity path: tasks run in registry
-  order, in process.
-* ``workers > 1`` — a forked task-graph pool: up to ``workers``
-  children run concurrently, each executing one task against the
-  copy-on-write world and shipping its payload home over a pipe.
-  Ready tasks are dispatched highest-static-cost first (LPT-style);
-  however the pool schedules them, outcomes are merged **in registry
-  order**, so renderers and exports cannot observe the interleaving.
+inside one monolithic string-builder; this module makes the analysis
+tier a first-class, observable stage.  An :class:`AnalysisTask` names
+one pure analysis — a function of the finished
+:class:`~repro.core.scenario.ScenarioResult` (plus the payloads of
+declared upstream tasks) — and an :class:`AnalysisRegistry` holds them
+in a fixed order that doubles as the topological order of the task
+graph (dependencies must be registered first).  :func:`run_analyses`
+runs the registry in that order, in this process.
 
 Failures are isolated per task: a task that raises degrades to an
 error outcome (one-line deterministic summary plus the full traceback
@@ -28,40 +16,25 @@ for diagnostics) and everything downstream of it is marked skipped —
 one broken analysis costs its report section, never the report.
 
 Observability: every task runs under an ``analysis.<name>`` span and
-bumps ``analysis.<name>.{ok,failed,skipped}`` counter series.  Pool
-children run on the fork primitive
-(:func:`repro.parallel.supervisor.spawn`), which swaps in a fresh
-registry and buffer tracer and ships both home, so serial and parallel
-runs produce the same deterministic counters.
+bumps ``analysis.<name>.{ok,failed,skipped}`` counter series.
 
 The analyses are offline measurements over the finished world, so a
 run leaves that world as it found it.  Fault injection is suppressed
 for its duration (drawing from the fault streams here would make task
-outputs depend on execution order), and the resolver's passive-DNS
+outputs depend on which analyses ran), and the resolver's passive-DNS
 feed is detached: an analysis that resolves a name would otherwise add
-sightings to the feed the report reads, and only on the serial path,
-since pool children write into their own copies.
+sightings to the feed the report reads.
 """
 
 from __future__ import annotations
 
-import functools
-import select
 import time
 import traceback
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.obs import OBS, MetricsRegistry, cpu_seconds_now
-from repro.parallel.supervisor import (
-    Worker,
-    WorkerFailure,
-    absorb,
-    collect,
-    fork_available,
-    spawn,
-)
+from repro.obs import OBS, cpu_seconds_now
 
 
 @dataclass(frozen=True)
@@ -69,27 +42,24 @@ class AnalysisTask:
     """One declarative paper analysis.
 
     ``run`` must be pure with respect to the scenario result — it may
-    read anything but mutate nothing — and return a picklable payload
-    (usually one of the analysis dataclasses).  ``deps`` names upstream
-    tasks whose payloads are passed in; ``inputs`` documents which
-    result components the task reads; ``cost`` is a static scheduling
-    hint (dispatched highest first when the pool has a free slot).
+    read anything but mutate nothing — and return a payload (usually
+    one of the analysis dataclasses).  ``deps`` names upstream tasks
+    whose payloads are passed in; ``inputs`` documents which result
+    components the task reads.
     """
 
     name: str
     run: Callable[..., object]
     inputs: Tuple[str, ...] = ()
     deps: Tuple[str, ...] = ()
-    cost: float = 1.0
 
 
 class AnalysisRegistry:
     """An ordered, validated collection of analysis tasks.
 
-    Registration order is the serial execution order and the merge
-    order of the parallel path; dependencies must already be registered
-    (which makes every registry a topologically sorted DAG by
-    construction — cycles cannot be expressed).
+    Registration order is the execution order; dependencies must
+    already be registered (which makes every registry a topologically
+    sorted DAG by construction — cycles cannot be expressed).
     """
 
     def __init__(self, tasks: Sequence[AnalysisTask] = ()):
@@ -139,14 +109,13 @@ class AnalysisOutcome:
     payload: object = None
     #: One-line deterministic failure summary (``ExcType: message``),
     #: ``None`` on success.  This is what renderers and the JSON export
-    #: show, so serial and parallel failures read identically.
+    #: show.
     error: Optional[str] = None
     #: Full traceback for diagnostics; never rendered into the report.
     error_detail: Optional[str] = None
     wall_ms: float = 0.0
-    #: CPU ms burned by the task — measured inside the worker, so the
-    #: pooled path ships the child's own number home (wall-class data,
-    #: excluded from determinism diffs like ``wall_ms``).
+    #: CPU ms burned by the task (wall-class data, excluded from
+    #: determinism diffs like ``wall_ms``).
     cpu_ms: float = 0.0
 
     @property
@@ -159,7 +128,6 @@ class AnalysisRun:
     """All outcomes of one engine run, in registry order."""
 
     outcomes: List[AnalysisOutcome]
-    workers: int = 1
     wall_seconds: float = 0.0
     _index: Dict[str, AnalysisOutcome] = field(default_factory=dict, repr=False)
 
@@ -180,7 +148,7 @@ class AnalysisRun:
         return [outcome for outcome in self.outcomes if not outcome.ok]
 
 
-# -- single-task execution (shared by the serial path and the children) ----
+# -- single-task execution -------------------------------------------------
 
 
 def _execute_task(
@@ -233,10 +201,6 @@ def _failed_dep(task: AnalysisTask, done: Dict[str, AnalysisOutcome]) -> Optiona
     return None
 
 
-def _deps_ready(task: AnalysisTask, done: Dict[str, AnalysisOutcome]) -> bool:
-    return all(dep in done and done[dep].ok for dep in task.deps)
-
-
 def _dep_payloads(task: AnalysisTask, done: Dict[str, AnalysisOutcome]) -> Dict[str, object]:
     return {dep: done[dep].payload for dep in task.deps}
 
@@ -245,36 +209,28 @@ def _dep_payloads(task: AnalysisTask, done: Dict[str, AnalysisOutcome]) -> Dict[
 
 
 def run_analyses(
-    result,
-    registry: Optional[AnalysisRegistry] = None,
-    workers: int = 1,
+    result, registry: Optional[AnalysisRegistry] = None
 ) -> AnalysisRun:
-    """Execute a task registry over one finished scenario.
-
-    ``workers <= 1`` runs the serial parity path; ``workers > 1`` runs
-    the forked pool (falling back to serial where the platform cannot
-    fork).  Output is byte-identical either way: outcomes are always
-    merged in registry order.
-    """
+    """Execute a task registry over one finished scenario, in order."""
     if registry is None:
         from repro.analysis.tasks import default_registry
 
         registry = default_registry()
-    workers = max(1, int(workers))
     plan = getattr(result, "fault_plan", None)
     suppress = plan.suppressed() if plan is not None else nullcontext()
     started = time.perf_counter()
+    done: Dict[str, AnalysisOutcome] = {}
     with suppress, _feed_detached(result):
-        if workers == 1 or len(registry) <= 1 or not fork_available():
-            done = _run_serial(result, registry)
-            effective_workers = 1
-        else:
-            done = _run_pool(result, registry, workers)
-            effective_workers = workers
-    outcomes = [done[task.name] for task in registry]
+        for task in registry:
+            failed_dep = _failed_dep(task, done)
+            if failed_dep is not None:
+                done[task.name] = _skip_outcome(task, failed_dep)
+                continue
+            done[task.name] = _execute_task(task, result, _dep_payloads(task, done))
+    outcomes = list(done.values())
     if OBS.enabled:
-        # Per-task resource rows, fed in registry order from the
-        # worker-measured timings (skips carry zeros and are omitted).
+        # Per-task resource rows, in registry order (skips carry zeros
+        # and are omitted).
         for outcome in outcomes:
             if outcome.wall_ms or outcome.cpu_ms:
                 OBS.series.record_stage(
@@ -283,9 +239,7 @@ def run_analyses(
                     outcome.wall_ms / 1000.0,
                 )
     return AnalysisRun(
-        outcomes=outcomes,
-        workers=effective_workers,
-        wall_seconds=time.perf_counter() - started,
+        outcomes=outcomes, wall_seconds=time.perf_counter() - started
     )
 
 
@@ -302,98 +256,3 @@ def _feed_detached(result) -> Iterator[None]:
     finally:
         resolver.passive_dns = feed
 
-
-def _run_serial(result, registry: AnalysisRegistry) -> Dict[str, AnalysisOutcome]:
-    done: Dict[str, AnalysisOutcome] = {}
-    for task in registry:
-        failed_dep = _failed_dep(task, done)
-        if failed_dep is not None:
-            done[task.name] = _skip_outcome(task, failed_dep)
-            continue
-        done[task.name] = _execute_task(task, result, _dep_payloads(task, done))
-    return done
-
-
-def _run_pool(
-    result, registry: AnalysisRegistry, workers: int
-) -> Dict[str, AnalysisOutcome]:
-    """The forked task-graph pool.
-
-    Dispatches ready tasks (dependencies completed ok) to at most
-    ``workers`` concurrent children, highest static cost first.  Each
-    child ships its observability (fresh registry + buffered spans)
-    home with its outcome; the parent folds registries and replays
-    trace events in **registry order** after the pool drains, so the
-    merged counters and the sim-clock trace projection match a serial
-    run.  A child that dies, or whose outcome cannot be pickled,
-    degrades to an error outcome for its task.
-    """
-    pending: List[AnalysisTask] = list(registry)
-    done: Dict[str, AnalysisOutcome] = {}
-    active: Dict[int, Tuple[AnalysisTask, Worker]] = {}
-    shipped: Dict[str, Tuple[Optional[MetricsRegistry], List[Dict]]] = {}
-
-    def resolve_skips() -> None:
-        # Failure cascades can unlock several rounds of skips.
-        while True:
-            skipped = [
-                task for task in pending if _failed_dep(task, done) is not None
-            ]
-            if not skipped:
-                return
-            for task in skipped:
-                done[task.name] = _skip_outcome(task, _failed_dep(task, done))
-                pending.remove(task)
-
-    def next_ready() -> Optional[AnalysisTask]:
-        ready = [task for task in pending if _deps_ready(task, done)]
-        if not ready:
-            return None
-        # LPT-style: largest static cost first; registry order breaks
-        # ties so dispatch is deterministic.
-        order = {task.name: i for i, task in enumerate(registry)}
-        ready.sort(key=lambda task: (-task.cost, order[task.name]))
-        return ready[0]
-
-    while pending or active:
-        resolve_skips()
-        while len(active) < workers:
-            task = next_ready()
-            if task is None:
-                break
-            pending.remove(task)
-            work = functools.partial(
-                _execute_task, task, result, _dep_payloads(task, done)
-            )
-            worker = spawn(work, f"analysis task {task.name!r}")
-            active[worker.read_fd] = (task, worker)
-        if not active:
-            if pending:  # unreachable for a validated registry
-                raise RuntimeError(
-                    f"analysis pool deadlocked with {len(pending)} tasks pending"
-                )
-            break
-        readable, _, _ = select.select(list(active), [], [])
-        for read_fd in readable:
-            task, worker = active.pop(read_fd)
-            try:
-                outcome, registry_part, events = collect(worker)
-            except WorkerFailure as failure:
-                # ``_execute_task`` isolates every exception a task
-                # raises, so an error frame means the outcome could not
-                # be pickled; any other failure killed the worker.
-                label = (
-                    "UnpicklablePayload" if failure.kind == "error"
-                    else "AnalysisWorkerDied"
-                )
-                outcome = AnalysisOutcome(task=task.name, error=f"{label}: {failure}")
-            else:
-                shipped[task.name] = (registry_part, events)
-            done[task.name] = outcome
-
-    # Deterministic fold: registry order, whatever the completion
-    # interleaving was.
-    for task in registry:
-        if task.name in shipped:
-            absorb(*shipped[task.name])
-    return done

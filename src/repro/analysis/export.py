@@ -5,8 +5,8 @@ keys, ``datetime`` stamps, sets, ``Counter`` tallies — so the export
 walks them generically: dataclasses become objects, mappings are
 key-sorted, sets become sorted lists, datetimes become ISO strings and
 anything else falls back to ``str``.  Every transform is
-deterministic, so a serial and a parallel run of the same scenario
-export byte-identical JSON (the report-parity CI job relies on it).
+deterministic, so two runs of the same scenario export byte-identical
+JSON (the report-parity CI job relies on it).
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ same ~20 computations behind the paper's figures that
 ``paper_report.build_report`` used to run inline — plus the
 :class:`ReportSection` table that composes task payloads back into the
 report's rendered sections.  Tasks are pure functions of the finished
-scenario (and their declared upstream payloads), so the engine can run
-them serially or on the forked pool with byte-identical output.
+scenario (and their declared upstream payloads), so the engine runs
+them in registry order over the finished world.
 
 The only task-graph edges today: ``clustering`` and ``cooccurrence``
 both consume the ``identifiers`` payload, so the identifier extraction
@@ -151,12 +151,7 @@ def _run_monetization(result, deps):
 
 
 def default_tasks() -> List[AnalysisTask]:
-    """Fresh task objects for the full paper report (registry order).
-
-    Costs are static scheduling hints from the paper-scale profile:
-    the certificate/CT/VirusTotal/WHOIS analyses dominate, the SEO
-    crawl and identifier scan follow, everything else is noise.
-    """
+    """Fresh task objects for the full paper report (registry order)."""
     return [
         AnalysisTask("scoring", _run_scoring, inputs=("dataset", "ground_truth")),
         AnalysisTask("growth", _run_growth, inputs=("collector", "dataset")),
@@ -168,26 +163,21 @@ def default_tasks() -> List[AnalysisTask]:
         AnalysisTask("providers", _run_providers,
                      inputs=("dataset", "organizations", "ground_truth")),
         AnalysisTask("durations", _run_durations, inputs=("dataset",)),
-        AnalysisTask("seo", _run_seo, inputs=("dataset", "monitor", "internet"),
-                     cost=3.0),
+        AnalysisTask("seo", _run_seo, inputs=("dataset", "monitor", "internet")),
         AnalysisTask("volume", _run_volume, inputs=("dataset",)),
-        AnalysisTask("reputation", _run_reputation,
-                     inputs=("dataset", "internet"), cost=6.0),
+        AnalysisTask("reputation", _run_reputation, inputs=("dataset", "internet")),
         AnalysisTask("certificates", _run_certificates,
-                     inputs=("dataset", "internet"), cost=10.0),
+                     inputs=("dataset", "internet")),
         AnalysisTask("caa", _run_caa, inputs=("dataset", "internet")),
         AnalysisTask("ct_monitoring", _run_ct_monitoring,
-                     inputs=("ground_truth", "internet"), cost=7.0),
+                     inputs=("ground_truth", "internet")),
         AnalysisTask("malware", _run_malware, inputs=("harvester",)),
         AnalysisTask("cookies", _run_cookies, inputs=("dataset", "internet")),
-        AnalysisTask("blacklist", _run_blacklist,
-                     inputs=("dataset", "internet"), cost=6.0),
+        AnalysisTask("blacklist", _run_blacklist, inputs=("dataset", "internet")),
         AnalysisTask("registrars", _run_registrars, inputs=("dataset", "internet")),
-        AnalysisTask("identifiers", _run_identifiers,
-                     inputs=("dataset", "monitor"), cost=2.0),
+        AnalysisTask("identifiers", _run_identifiers, inputs=("dataset", "monitor")),
         AnalysisTask("clustering", _run_clustering, deps=("identifiers",)),
-        AnalysisTask("cooccurrence", _run_cooccurrence, deps=("identifiers",),
-                     cost=2.0),
+        AnalysisTask("cooccurrence", _run_cooccurrence, deps=("identifiers",)),
         AnalysisTask("monetization", _run_monetization, inputs=("monetization",)),
     ]
 

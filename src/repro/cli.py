@@ -8,8 +8,7 @@
                                [--incremental]
                                [--checkpoint-dir DIR] [--checkpoint-every N]
                                [--resume]
-    python -m repro report     [--seed N] [--scale ...]
-                               [--analysis-workers N] [--report-json PATH]
+    python -m repro report     [--seed N] [--scale ...] [--report-json PATH]
     python -m repro audit      [--seed N] [--scale ...]
     python -m repro pipeline   [--seed N] [--scale ...]
     python -m repro profile    [--seed N] [--scale ...]
@@ -18,12 +17,10 @@
 
 ``run`` executes a scenario and prints the headline summary (optionally
 exporting the abuse dataset to JSON); ``report`` adds the per-analysis
-breakdowns — computed by the :mod:`repro.analysis` task graph, on
-``--analysis-workers N`` forked workers (byte-identical output for any
-worker count; a failed analysis degrades to an error stanza instead of
-killing the report) and optionally exported as machine-readable JSON
-with ``--report-json PATH``; ``audit`` plays the defender and surveys
-the attack surface;
+breakdowns — computed by the :mod:`repro.analysis` task graph (a failed
+analysis degrades to an error stanza instead of killing the report) and
+optionally exported as machine-readable JSON with ``--report-json
+PATH``; ``audit`` plays the defender and surveys the attack surface;
 ``pipeline`` prints the engine's per-stage timing/throughput table;
 ``profile`` runs with observability on and prints the top spans, cache
 hit rates and retry heat.
@@ -33,7 +30,7 @@ the deterministic counter registry after the run, ``--trace PATH``
 streams span/metric events (``--trace-format jsonl`` — the default —
 with sim-clock *and* wall-clock timestamps per event, or
 ``--trace-format chrome`` for a Perfetto/chrome://tracing-loadable
-trace-event JSON with shard and analysis-pool lanes),
+trace-event JSON with shard and analysis lanes),
 ``--trace-sample N`` keeps every Nth span per span name, and
 ``--metrics-json PATH`` exports the week-by-week counter deltas plus
 per-stage/per-shard resource accounting as JSON.  With none of them
@@ -197,12 +194,6 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--export", metavar="PATH", default=None,
                              help="write the abuse dataset to a JSON file")
         if name == "report":
-            cmd.add_argument("--analysis-workers", type=_in_range(int, 1), default=1,
-                             metavar="N",
-                             help="run the report's analysis task graph on "
-                                  "N forked workers (default 1 = the serial "
-                                  "parity path; output is byte-identical "
-                                  "for any worker count)")
             cmd.add_argument("--report-json", metavar="PATH", default=None,
                              help="also export every analysis payload as "
                                   "machine-readable JSON to PATH (atomic "
@@ -271,12 +262,12 @@ def _print_summary(result: ScenarioResult, out) -> None:
 
 
 def _print_report(
-    result: ScenarioResult, out, workers: int = 1, json_path: Optional[str] = None
+    result: ScenarioResult, out, json_path: Optional[str] = None
 ) -> None:
     from repro.analysis import report_json, run_analyses
     from repro.core.paper_report import build_report
 
-    run = run_analyses(result, workers=workers)
+    run = run_analyses(result)
     print(build_report(result, run=run), file=out)
     if json_path:
         # Atomic for the same reason as --export: a crash mid-write must
@@ -431,11 +422,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
                 atomic_write_text(args.export, dataset_to_json(result.dataset, indent=2))
                 print(f"\ndataset exported to {args.export}", file=out)
         elif args.command == "report":
-            _print_report(
-                result, out,
-                workers=args.analysis_workers,
-                json_path=getattr(args, "report_json", None),
-            )
+            _print_report(result, out, json_path=getattr(args, "report_json", None))
         elif args.command == "audit":
             _print_audit(result, out)
         elif args.command == "pipeline":

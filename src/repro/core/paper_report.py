@@ -7,9 +7,8 @@ library equivalent of the paper's evaluation section.  Used by the CLI
 string so callers can print, save or diff it.
 
 Since the analysis-engine rework this module is a thin composition
-over :mod:`repro.analysis`: the analyses run as a task graph (serially
-by default, or on a forked pool with ``workers > 1`` — byte-identical
-either way), each section renders from its tasks' payloads, and a
+over :mod:`repro.analysis`: the analyses run as a task graph in
+registry order, each section renders from its tasks' payloads, and a
 failed analysis degrades to an error stanza instead of killing the
 report.
 """
@@ -24,19 +23,16 @@ from repro.core.scenario import ScenarioResult
 
 
 def build_report(
-    result: ScenarioResult,
-    workers: int = 1,
-    run: Optional[AnalysisRun] = None,
+    result: ScenarioResult, run: Optional[AnalysisRun] = None
 ) -> str:
     """Render the complete analysis report for one finished run.
 
-    ``workers`` sizes the analysis pool (1 = the serial parity path);
-    callers that already executed the engine — e.g. to also export
+    Callers that already executed the engine — e.g. to also export
     ``--report-json`` — pass their :class:`AnalysisRun` as ``run`` so
     the analyses are not recomputed.
     """
     if run is None:
-        run = run_analyses(result, workers=workers)
+        run = run_analyses(result)
     sections = render_sections(run, result)
     header = (
         "=" * 72

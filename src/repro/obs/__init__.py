@@ -19,14 +19,10 @@ Enable it by installing real sinks::
         finally:
             OBS.reset()
 
-Forked analysis-pool workers swap in their own registry/buffer-tracer
-pair (:func:`repro.parallel.supervisor.spawn`) and ship both home with
-their result; the parent reduces registries with the associative
-:meth:`MetricsRegistry.merge_from` and replays trace events in
-task-registry order, so worker count never changes the totals.  Weekly
-sweeps run inline and record straight into the process's registry.
-The series recorder snapshots the registry at week boundaries, after
-every stage of the week has run.
+The program runs in one process: weekly sweeps and the report's
+analyses record straight into the process's registry and tracer.  The
+series recorder snapshots the registry at week boundaries, after every
+stage of the week has run.
 """
 
 from __future__ import annotations

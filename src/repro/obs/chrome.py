@@ -3,17 +3,17 @@
 ``--trace-format chrome`` turns the JSONL span stream into the Chrome
 trace-event JSON that ``chrome://tracing`` and https://ui.perfetto.dev
 load directly, which is the fastest way to *see* a run: the sweep's
-shard lane under the monitor-sweep stage, the analysis pool chewing
-through tasks, checkpoint writes punctuating weeks.
+shard lane under the monitor-sweep stage, the report's analyses one
+after another, checkpoint writes punctuating weeks.
 
-Lane mapping — the trace-event ``pid``/``tid`` pair — follows the
-process topology the run actually had:
+Lane mapping — the trace-event ``pid``/``tid`` pair — separates the
+run's phases:
 
 * the main pipeline (stage spans, checkpoints) → pid 1 / tid 1;
 * ``sweep.shard`` spans and everything nested under them → pid 1 /
   tid ``10 + shard_index`` (the inline sweep is shard 0, tid 10);
-* ``analysis.*`` spans → pid 2 (the analysis pool is a separate
-  fan-out phase) with one tid per task, in first-seen order.
+* ``analysis.*`` spans → pid 2 (the report phase, after the last
+  week) with one tid per task, in first-seen order.
 
 A span's lane comes from walking its **path id**: a span whose id
 contains a ``sweep.shard#3`` segment belongs to shard 3's lane no

@@ -1,18 +1,10 @@
-"""Counter/gauge/histogram registry with an associative merge.
-
-The analysis pool runs tasks in forked children whose state dies with
-them, so each child's counters are captured in its own registry,
-shipped home with its result, and reduced by the parent in registry
-order.  :meth:`MetricsRegistry.merge` is therefore built like
-:meth:`repro.pipeline.metrics.StageMetrics.merge` — field-wise,
-associative and commutative — so reducing per-worker registries in any
-bracketing yields the same totals as a single-process run.
+"""Counter/gauge/histogram registry for one process's run.
 
 Registries hold **deterministic values only**: counts of events that a
 fixed seed replays identically.  Wall-clock timings never go in here —
 they belong to the :mod:`repro.obs.trace` span stream — which is what
-lets tests and CI diff registries across same-seed runs and across
-analysis worker counts.
+lets tests and CI diff registries across same-seed runs (cache-state
+series aside, see :func:`is_cache_state`).
 """
 
 from __future__ import annotations
@@ -87,20 +79,6 @@ class HistogramData:
         if value > self.max:
             self.max = value
 
-    def merge_from(self, other: "HistogramData") -> None:
-        if self.bounds != other.bounds:
-            raise ValueError(
-                f"cannot merge histograms with bounds {self.bounds} and {other.bounds}"
-            )
-        for i, count in enumerate(other.counts):
-            self.counts[i] += count
-        self.count += other.count
-        self.total += other.total
-        if other.min < self.min:
-            self.min = other.min
-        if other.max > self.max:
-            self.max = other.max
-
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
@@ -120,7 +98,7 @@ def metric_key(name: str, labels: Dict[str, object]) -> str:
 
     Sorting makes the key independent of keyword order at the call
     site, so ``inc("x", a=1, b=2)`` and ``inc("x", b=2, a=1)`` hit the
-    same series — the property label-based merging and diffing rely on.
+    same series — the property label-based diffing relies on.
     """
     if not labels:
         return name
@@ -131,9 +109,9 @@ def metric_key(name: str, labels: Dict[str, object]) -> str:
 #: Series that count a memo's hits and misses rather than work the run
 #: did: the zone lookup/cover memos, the resolver memo and the
 #: extraction cache.  Their split depends on what warmed the caches
-#: before — earlier analyses in the same process, a forked child's
-#: inherited heap, the sweep path that enabled the resolver memo — so
-#: they are not a function of the seed alone (DESIGN.md §10).
+#: before — earlier analyses in the same process, the sweep path that
+#: enabled the resolver memo — so they are not a function of the seed
+#: alone (DESIGN.md §10).
 CACHE_STATE_SERIES = (
     "zone.*.memo_*",
     "resolver.memo.*",
@@ -152,9 +130,7 @@ class MetricsRegistry:
     """Deterministic counters, high-watermark gauges and histograms.
 
     Cheap on purpose: an ``inc`` on an unlabelled series is one dict
-    get/set.  Instances pickle (they ride the analysis pool's pipes),
-    and merging is associative and commutative — counters sum, gauges
-    take the max, histograms add bucket-wise.
+    get/set.
     """
 
     __slots__ = ("_counters", "_gauges", "_histograms")
@@ -172,7 +148,7 @@ class MetricsRegistry:
         self._counters[key] = self._counters.get(key, 0) + amount
 
     def gauge(self, name: str, value: float, **labels: object) -> None:
-        """Record a high-watermark gauge: merge (and re-set) keep the max."""
+        """Record a high-watermark gauge: a re-set keeps the max."""
         key = metric_key(name, labels) if labels else name
         current = self._gauges.get(key)
         if current is None or value > current:
@@ -189,8 +165,7 @@ class MetricsRegistry:
 
         ``bounds`` fixes the bucket bounds the first time a series is
         observed (e.g. :data:`MS_BOUNDS` for duration histograms); the
-        series keeps them for life, and :meth:`HistogramData.merge_from`
-        refuses to merge series whose call sites disagreed.
+        series keeps them for life.
         """
         key = metric_key(name, labels) if labels else name
         hist = self._histograms.get(key)
@@ -232,30 +207,6 @@ class MetricsRegistry:
     def is_empty(self) -> bool:
         return not (self._counters or self._gauges or self._histograms)
 
-    # -- reduction --------------------------------------------------------
-
-    def merge_from(self, other: "MetricsRegistry") -> None:
-        """Fold ``other`` into this registry in place."""
-        for key, value in other._counters.items():
-            self._counters[key] = self._counters.get(key, 0) + value
-        for key, value in other._gauges.items():
-            current = self._gauges.get(key)
-            if current is None or value > current:
-                self._gauges[key] = value
-        for key, hist in other._histograms.items():
-            mine = self._histograms.get(key)
-            if mine is None:
-                mine = HistogramData(bounds=hist.bounds)
-                self._histograms[key] = mine
-            mine.merge_from(hist)
-
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """A new registry combining ``self`` and ``other`` (associative)."""
-        merged = MetricsRegistry()
-        merged.merge_from(self)
-        merged.merge_from(other)
-        return merged
-
     # -- export -----------------------------------------------------------
 
     def as_dict(self) -> Dict[str, object]:
@@ -278,14 +229,6 @@ class MetricsRegistry:
             for key, hist in self.histograms().items()
         )
         return rows
-
-    # -- pickling (slots need explicit state) -----------------------------
-
-    def __getstate__(self):
-        return (self._counters, self._gauges, self._histograms)
-
-    def __setstate__(self, state):
-        self._counters, self._gauges, self._histograms = state
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MetricsRegistry):
@@ -333,9 +276,6 @@ class NullMetrics:
 
     def hit_rate(self, hits: str, misses: str) -> float:
         return 0.0
-
-    def merge_from(self, other) -> None:
-        pass
 
     def is_empty(self) -> bool:
         return True

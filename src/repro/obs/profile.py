@@ -129,7 +129,7 @@ def _sweep_table(result, metrics) -> str:
     report = getattr(executor, "last_report", None)
     if report is not None:
         rows.append(("last sweep wall s (elapsed)", f"{report.wall_seconds:.3f}"))
-        rows.append(("last sweep cpu s (sampling)", f"{report.cpu_seconds:.3f}"))
+        rows.append(("last sweep sampling cpu s", f"{report.cpu_seconds:.3f}"))
         rows.append(("last sweep mode", report.mode))
     return render_table(
         ["metric", "value"], rows, title="\nSweep path and detector"

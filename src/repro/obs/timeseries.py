@@ -15,9 +15,8 @@ Two kinds of data live here and must never be conflated:
 * **Deterministic**: week-indexed counter deltas.  Pure functions of
   the seed; two same-seed runs must produce equal delta series, and the
   ``repro perf --check`` gate diffs exactly these.
-* **Wall-class**: CPU seconds (:func:`cpu_seconds_now`, from
-  ``os.times`` so reaped forked children are included via the
-  children-time fields), peak RSS (:func:`peak_rss_kb`, from
+* **Wall-class**: CPU seconds (:func:`cpu_seconds_now`, this
+  process's ``time.process_time``), peak RSS (:func:`peak_rss_kb`, from
   ``resource.getrusage`` where the platform has it), and wall seconds.
   These vary run to run and are *excluded* from determinism diffs —
   :func:`deterministic_view` strips them, mirroring ``WALL_FIELDS`` in
@@ -31,8 +30,8 @@ the deterministic stream.
 
 from __future__ import annotations
 
-import os
 import sys
+import time
 from typing import Dict, List, Optional
 
 from repro.obs.metrics import is_cache_state
@@ -48,15 +47,13 @@ except ImportError:  # pragma: no cover - Windows
 
 
 def cpu_seconds_now() -> float:
-    """Process CPU seconds so far, children included.
+    """User+system CPU seconds this process has burned so far.
 
-    ``os.times`` exposes user+system for the process and, crucially,
-    for reaped children — which is how the parent's accounting sees the
-    CPU burned inside forked analysis-pool workers after it waits on
-    them.
+    The program never forks, so there are no children to count.
+    ``time.process_time`` reads to the microsecond; ``os.times`` ticks
+    at 10 ms, which rounds a ~20 ms weekly sweep to 0 or 10 ms.
     """
-    t = os.times()
-    return t.user + t.system + t.children_user + t.children_system
+    return time.process_time()
 
 
 def peak_rss_kb() -> int:

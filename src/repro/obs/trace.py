@@ -14,15 +14,7 @@ ids* — ``parent-id/name#seq`` — assigned from deterministic state
 only: the per-parent sequence number of that span name, or an explicit
 ``seq=`` the call site derives from simulation structure (the sweep's
 shard span passes shard 0).  That makes the id-bearing projection a
-pure function of the seed: a forked analysis worker inherits the
-parent's open-span context through ``os.fork`` and builds the exact id
-a serial run of the same task would have built.
-
-Forked workers cannot share the parent's file handle, so they trace
-into a :class:`BufferTracer` (:meth:`Tracer.fork_buffer`) whose events
-ride home with the worker's result and are replayed by the parent **in
-task-registry order**, which keeps the event sequence (ids included)
-deterministic across worker counts.
+pure function of the seed.
 
 Sampling (``sample_every=N``) keeps every Nth span *per span name*, a
 deterministic rule that thins the JSONL without desynchronising
@@ -55,9 +47,7 @@ TOPOLOGY_SPAN_PREFIXES = ("sweep.shard",)
 
 #: The process-wide open-span context.  One tracer is active at a time
 #: (the :data:`repro.obs.OBS` singleton), so the variable is shared by
-#: all tracer instances; forked children inherit its value through the
-#: copied interpreter state, which is how an analysis worker knows
-#: which parent span to nest under.
+#: all tracer instances.
 _CURRENT_SPAN: ContextVar[Optional["_Span"]] = ContextVar(
     "repro_obs_current_span", default=None
 )
@@ -149,12 +139,6 @@ class NullTracer:
 
     def event(self, name: str, sim=None, week=None, **attrs) -> None:
         pass
-
-    def replay(self, events: List[Dict]) -> None:
-        pass
-
-    def fork_buffer(self) -> "NullTracer":
-        return self
 
     def emit_metrics(self, registry, sim=None) -> None:
         pass
@@ -269,35 +253,6 @@ class Tracer:
         payload.update(registry.as_dict())
         self._write(payload)
 
-    # -- fork plumbing ----------------------------------------------------
-
-    def fork_buffer(self) -> "BufferTracer":
-        """A child-side tracer buffering events for the result pipe.
-
-        The open-span context rides the fork itself (:data:`_CURRENT_SPAN`
-        is ordinary interpreter state), so spans the child opens nest
-        under the parent's in-flight span with the same path ids an
-        inline run would assign.
-        """
-        return BufferTracer(sample_every=self.sample_every)
-
-    def replay(self, events: List[Dict]) -> None:
-        """Write a worker's buffered events (already sampled and
-        id-stamped child-side) and fold their spans into the aggregates."""
-        for payload in events:
-            if payload.get("type") == "span":
-                name = payload["name"]
-                duration_ms = payload.get("dur_ms", 0.0)
-                agg = self._agg.get(name)
-                if agg is None:
-                    self._agg[name] = [1, duration_ms, duration_ms]
-                else:
-                    agg[0] += 1
-                    agg[1] += duration_ms
-                    if duration_ms > agg[2]:
-                        agg[2] = duration_ms
-            self._write(payload)
-
     # -- output -----------------------------------------------------------
 
     def _payload(
@@ -350,11 +305,8 @@ class Tracer:
 class BufferTracer(Tracer):
     """A tracer that buffers payloads instead of writing them.
 
-    Used by forked analysis workers: the parent replays ``events`` in
-    task-registry order, so the final JSONL is identical to what a
-    serial run would have written (wall fields aside).  Also the capture backend
-    of the Chrome export: the CLI buffers the whole run and converts
-    the events at exit.
+    The capture backend of the Chrome export: the CLI buffers the whole
+    run and converts the events at exit.
     """
 
     def __init__(self, sample_every: int = 1):

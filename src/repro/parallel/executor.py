@@ -69,8 +69,8 @@ class SweepReport:
     mode: str = "serial"
     #: Elapsed time of the whole sweep.
     wall_seconds: float = 0.0
-    #: Sampling time alone: the shard's elapsed time, without the
-    #: store apply (a serial sweep reports both equal).
+    #: CPU seconds the shard burned sampling, without the store apply
+    #: (the serial oracle reports its elapsed time: cpu = wall).
     cpu_seconds: float = 0.0
 
 
@@ -212,12 +212,10 @@ class ProcessExecutor(SweepExecutor):
             # its dirty set: every surviving entry's dependencies are
             # unchanged as of this cursor.
             ledger.cursor = monitor.journal.cursor()
-        report.cpu_seconds = result.wall_seconds
+        report.cpu_seconds = result.cpu_seconds
         if OBS.enabled:
             OBS.series.record_shard(
-                0, result.size,
-                result.cpu_seconds or result.wall_seconds,
-                result.wall_seconds,
+                0, result.size, result.cpu_seconds, result.wall_seconds,
                 result.peak_rss_kb,
             )
         return report

@@ -200,9 +200,6 @@ class PipelineEngine:
                 elapsed = time.perf_counter() - started
                 self.metrics.record_tick(stage.name, elapsed, int(items or 0))
                 if OBS.enabled:
-                    # ``cpu_seconds_now`` counts reaped children too,
-                    # so a stage that forks would be charged for the
-                    # CPU its workers burned (weekly stages run inline).
                     OBS.series.record_stage(
                         stage.name, cpu_seconds_now() - cpu0, elapsed
                     )

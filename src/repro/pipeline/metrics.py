@@ -10,7 +10,7 @@ ad-hoc timers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 
@@ -31,30 +31,6 @@ class StageMetrics:
     failures: int = 0
     skips: int = 0
     quarantined: int = 0
-
-    def merge(self, other: "StageMetrics") -> "StageMetrics":
-        """A new row summing this stage's counters with ``other``'s.
-
-        Field-wise addition, so merging is associative and commutative
-        — per-shard (or per-run) metric registries reduce to the same
-        totals under any bracketing.
-        """
-        if other.name != self.name:
-            raise ValueError(
-                f"cannot merge stage {other.name!r} into {self.name!r}"
-            )
-        return StageMetrics(
-            name=self.name,
-            ticks=self.ticks + other.ticks,
-            wall_time=self.wall_time + other.wall_time,
-            items_processed=self.items_processed + other.items_processed,
-            setup_time=self.setup_time + other.setup_time,
-            finish_time=self.finish_time + other.finish_time,
-            retries=self.retries + other.retries,
-            failures=self.failures + other.failures,
-            skips=self.skips + other.skips,
-            quarantined=self.quarantined + other.quarantined,
-        )
 
     @property
     def total_time(self) -> float:
@@ -114,23 +90,6 @@ class PipelineMetrics:
     def record_quarantine(self, name: str, items: int = 1) -> None:
         """The stage dead-lettered ``items`` work items this week."""
         self.stage(name).quarantined += items
-
-    def merge(self, other: "PipelineMetrics") -> "PipelineMetrics":
-        """A new registry combining two runs' counters, associatively.
-
-        Stage rows are matched by name and summed field-wise; rows
-        unique to either side carry over.  Ordering keeps ``self``'s
-        registration order first, then ``other``'s new stages.
-        """
-        merged = PipelineMetrics()
-        for row in self._stages.values():
-            merged._stages[row.name] = replace(row)
-        for row in other._stages.values():
-            mine = merged._stages.get(row.name)
-            merged._stages[row.name] = (
-                mine.merge(row) if mine is not None else replace(row)
-            )
-        return merged
 
     def total_retries(self) -> int:
         return sum(row.retries for row in self._stages.values())

@@ -1,13 +1,11 @@
-"""Tests for the analysis engine (registry, pool, parity) and the
+"""Tests for the analysis engine (registry, isolation, export) and the
 analysis-layer bugfix regressions that shipped with it."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import random
-import signal
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 from types import SimpleNamespace
@@ -31,7 +29,6 @@ from repro.core.clustering import (
 from repro.core.duration import concurrent_hijacks
 from repro.core.identifiers import IdentifierMap
 from repro.core.paper_report import build_report
-from repro.core.scenario import ScenarioConfig, run_scenario
 from repro.core.seo_analysis import (
     SiteSeoProfile,
     _classify_from_store,
@@ -39,18 +36,9 @@ from repro.core.seo_analysis import (
     _referral_code,
 )
 from repro.obs import OBS, MetricsRegistry, is_cache_state
-from repro.parallel import supervisor as supervisor_module
 from repro.web.html import parse_html
 
 T0 = datetime(2020, 3, 2)
-
-
-@pytest.fixture(scope="module")
-def second_result():
-    """A second, differently seeded world for cross-seed parity."""
-    config = ScenarioConfig.tiny(seed=7)
-    config.weeks = 12
-    return run_scenario(config)
 
 
 # -- registry --------------------------------------------------------------
@@ -92,7 +80,7 @@ def _stub_registry():
     return AnalysisRegistry([
         AnalysisTask("base", lambda result, deps: 10),
         AnalysisTask("double", lambda result, deps: deps["base"] * 2,
-                     deps=("base",), cost=5.0),
+                     deps=("base",)),
         AnalysisTask("other", lambda result, deps: result.tag),
     ])
 
@@ -105,17 +93,7 @@ def test_engine_serial_passes_dependency_payloads():
     assert not run.failed
 
 
-def test_engine_pool_matches_serial_outcomes():
-    result = SimpleNamespace(tag="x")
-    serial = run_analyses(result, registry=_stub_registry(), workers=1)
-    pooled = run_analyses(result, registry=_stub_registry(), workers=3)
-    assert [o.task for o in pooled.outcomes] == [o.task for o in serial.outcomes]
-    assert [o.payload for o in pooled.outcomes] == [o.payload for o in serial.outcomes]
-    assert pooled.workers == 3
-
-
-@pytest.mark.parametrize("workers", [1, 3])
-def test_engine_isolates_task_failure_and_skips_downstream(workers):
+def test_engine_isolates_task_failure_and_skips_downstream():
     def explode(result, deps):
         raise RuntimeError("boom")
 
@@ -125,7 +103,7 @@ def test_engine_isolates_task_failure_and_skips_downstream(workers):
                      deps=("base",)),
         AnalysisTask("other", lambda result, deps: 42),
     ])
-    run = run_analyses(SimpleNamespace(), registry=registry, workers=workers)
+    run = run_analyses(SimpleNamespace(), registry=registry)
     base = run.outcome("base")
     assert not base.ok and base.error == "RuntimeError: boom"
     skipped = run.outcome("double")
@@ -133,76 +111,11 @@ def test_engine_isolates_task_failure_and_skips_downstream(workers):
     assert run.payload("other") == 42
 
 
-def _assert_pool_survives(die):
-    registry = AnalysisRegistry([
-        AnalysisTask("die", die),
-        AnalysisTask("live", lambda result, deps: "ok"),
-    ])
-    run = run_analyses(SimpleNamespace(), registry=registry, workers=2)
-    dead = run.outcome("die")
-    assert not dead.ok and "AnalysisWorkerDied" in dead.error
-    assert "analysis task 'die'" in dead.error
-    assert run.payload("live") == "ok"
-
-
-def test_engine_pool_survives_worker_death():
-    _assert_pool_survives(lambda result, deps: os._exit(3))
-
-
-def test_engine_pool_survives_worker_killed_by_signal():
-    _assert_pool_survives(lambda result, deps: os.kill(os.getpid(), signal.SIGKILL))
-
-
-def test_engine_pool_survives_truncated_result_frame(monkeypatch):
-    real_send = supervisor_module._send_payload
-    in_doomed_child = []
-
-    def doomed(result, deps):
-        in_doomed_child.append(True)  # lands in this child's copy only
-        return "never arrives whole"
-
-    def truncating_send(write_fd, payload):
-        if not in_doomed_child:
-            return real_send(write_fd, payload)
-        # Half the frame, then death: the parent sees a short read.
-        supervisor_module._write_all(
-            write_fd,
-            supervisor_module._LENGTH.pack(len(payload)) + payload[: len(payload) // 2],
-        )
-        os._exit(0)
-
-    monkeypatch.setattr(supervisor_module, "_send_payload", truncating_send)
-    _assert_pool_survives(doomed)
-
-
-def test_engine_pool_degrades_unpicklable_payload():
-    registry = AnalysisRegistry([
-        AnalysisTask("bad", lambda result, deps: (lambda: None)),
-        AnalysisTask("good", lambda result, deps: 1),
-    ])
-    run = run_analyses(SimpleNamespace(), registry=registry, workers=2)
-    outcome = run.outcome("bad")
-    assert not outcome.ok and "UnpicklablePayload" in outcome.error
-
-
-# -- report parity ---------------------------------------------------------
-
-
-@pytest.mark.parametrize("workers", [2, 5])
-def test_report_byte_parity_seed42(tiny_result, workers):
-    assert build_report(tiny_result) == build_report(tiny_result, workers=workers)
-
-
-def test_report_byte_parity_second_seed(second_result):
-    serial = build_report(second_result)
-    assert serial == build_report(second_result, workers=4)
-
-
 def test_report_json_parity_and_schema(tiny_result):
-    serial = report_json(run_analyses(tiny_result), tiny_result)
-    pooled = report_json(run_analyses(tiny_result, workers=4), tiny_result)
-    assert serial == pooled
-    exported = json.loads(serial)
+    # Same finished world, same bytes: a repeat run exports identically.
+    first = report_json(run_analyses(tiny_result), tiny_result)
+    assert first == report_json(run_analyses(tiny_result), tiny_result)
+    exported = json.loads(first)
     assert exported["schema"] == "repro.analysis.report/1"
     assert exported["seed"] == tiny_result.config.seed
     assert set(exported["analyses"]) == set(default_registry().names())
@@ -218,7 +131,7 @@ def test_failed_analysis_degrades_to_error_section(tiny_result):
         if task.name == "certificates" else task
         for task in default_tasks()
     ]
-    run = run_analyses(tiny_result, registry=AnalysisRegistry(tasks), workers=2)
+    run = run_analyses(tiny_result, registry=AnalysisRegistry(tasks))
     report = build_report(tiny_result, run=run)
     assert "[analysis failed: task 'certificates' — ValueError: synthetic failure]" in report
     # Every other section still renders.
@@ -227,14 +140,14 @@ def test_failed_analysis_degrades_to_error_section(tiny_result):
     assert "Reputation & certificates" in report  # the error stanza's title
 
 
-def test_engine_metrics_identical_serial_vs_pool(tiny_result):
-    # Cache-state series are out: the serial run warms the finished
-    # world's memos, and the pool's forked children inherit them warm.
-    def counters(workers):
+def test_engine_metrics_count_every_task(tiny_result):
+    # Cache-state series are out: the first run warms the finished
+    # world's memos, so a repeat run finds them warm.
+    def counters():
         registry = MetricsRegistry()
         OBS.configure(metrics=registry)
         try:
-            run_analyses(tiny_result, workers=workers)
+            run_analyses(tiny_result)
         finally:
             OBS.reset()
         return {
@@ -243,18 +156,15 @@ def test_engine_metrics_identical_serial_vs_pool(tiny_result):
             if not is_cache_state(key)
         }
 
-    serial = counters(1)
-    pooled = counters(3)
-    assert serial == pooled
-    assert serial.get("analysis.tasks_ok") == len(default_registry())
-    assert serial.get("analysis.clustering.ok") == 1
+    first = counters()
+    assert first == counters()
+    assert first.get("analysis.tasks_ok") == len(default_registry())
+    assert first.get("analysis.clustering.ok") == 1
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_run_analyses_leaves_the_passive_dns_feed_as_it_found_it(tiny_result, workers):
-    # Analyses resolve names through the finished world's resolver.  The
-    # feed they would write into is the one the report reads, and only
-    # the serial path would write it (pool children write their copies).
+def test_run_analyses_leaves_the_passive_dns_feed_as_it_found_it(tiny_result):
+    # Analyses resolve names through the finished world's resolver, and
+    # the feed they would write into is the one the report reads.
     def feed_digest():
         feed = tiny_result.internet.passive_dns
         return repr(sorted(
@@ -263,7 +173,7 @@ def test_run_analyses_leaves_the_passive_dns_feed_as_it_found_it(tiny_result, wo
         ))
 
     before = feed_digest()
-    run_analyses(tiny_result, workers=workers)
+    run_analyses(tiny_result)
     assert feed_digest() == before
     assert tiny_result.internet.resolver.passive_dns is tiny_result.internet.passive_dns
 
@@ -418,13 +328,13 @@ def test_dendrogram_merge_sequence_deterministic(tiny_result):
 # -- CLI wiring ------------------------------------------------------------
 
 
-def test_report_cli_with_workers_and_json(tmp_path, capsys):
+def test_report_cli_writes_report_json(tmp_path, capsys):
     from repro.cli import main
 
     json_path = tmp_path / "report.json"
     code = main([
         "report", "--scale", "tiny", "--weeks", "2",
-        "--analysis-workers", "2", "--report-json", str(json_path),
+        "--report-json", str(json_path),
     ])
     assert code == 0
     out = capsys.readouterr().out

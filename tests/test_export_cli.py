@@ -88,7 +88,7 @@ def test_cli_countermeasure_flag():
 
 @pytest.mark.parametrize("argv, bound", [
     (["run", "--checkpoint-every", "0"], "must be 1 or more"),
-    (["report", "--analysis-workers", "0"], "must be 1 or more"),
+    (["report", "--checkpoint-every", "0"], "must be 1 or more"),
     (["run", "--checkpoint-every", "-2"], "must be 1 or more"),
     (["run", "--trace-sample", "0"], "must be 1 or more"),
     (["run", "--weeks", "-1"], "must be 0 or more"),
@@ -108,15 +108,17 @@ def test_cli_rejects_out_of_range_numbers_when_parsing(argv, bound, capsys):
 
 
 @pytest.mark.parametrize("flag", [
-    ["--workers", "2"], ["--worker-faults"], ["--shard-deadline", "5"],
+    ["run", "--workers", "2"], ["run", "--worker-faults"],
+    ["run", "--shard-deadline", "5"], ["report", "--analysis-workers", "2"],
 ])
 def test_cli_rejects_removed_fork_flags(flag, capsys):
-    """Sweeps no longer fork: the fork-only flags are unknown (exit 2)."""
+    """Nothing forks: the fork-only flags are unknown (exit 2)."""
+    command, *removed = flag
     with pytest.raises(SystemExit) as exited:
-        main(["run", "--scale", "tiny", *flag], out=io.StringIO())
+        main([command, "--scale", "tiny", *removed], out=io.StringIO())
     assert exited.value.code == 2
     error = capsys.readouterr().err.strip().splitlines()[-1]
-    assert error == f"repro: error: unrecognized arguments: {' '.join(flag)}"
+    assert error == f"repro: error: unrecognized arguments: {' '.join(removed)}"
 
 
 def test_cli_range_edges_keep_their_meaning():

@@ -1,15 +1,11 @@
 """Tests for the observability layer (`repro.obs`).
 
-Covers the registry merge algebra (counters sum, gauges max,
-histograms add bucket-wise — associatively and commutatively), the
-tracer's sampling and determinism contracts, the disabled-mode no-op
-path, and regressions for
-the three bugfixes that rode along: the SweepReport wall/cpu merge
-(in test_parallel), the IssuanceError-only exception handling in the
-world builders, and the `duration_days` wall-clock footgun.
+Covers the registry's series keys and histograms, the tracer's
+sampling and determinism contracts, the disabled-mode no-op path, and
+regressions for the IssuanceError-only exception handling in the world
+builders and the `duration_days` wall-clock footgun.
 """
 
-import pickle
 from datetime import datetime, timezone
 
 import pytest
@@ -58,65 +54,15 @@ def test_labelled_series_are_order_independent_at_the_call_site():
     assert registry.counter("x", a=1, b=2) == 2
 
 
-# -- merge algebra ---------------------------------------------------------
-
-
-def _registry(n):
-    registry = MetricsRegistry()
-    registry.inc("hits", n)
-    registry.inc("misses", 1)
-    registry.inc("retries", n, edge=f"10.0.0.{n}")
-    registry.gauge("depth.max", float(n))
-    for value in range(1, n + 2):
-        registry.observe("chain_depth", float(value))
-    return registry
-
-
-def test_registry_merge_is_associative_and_commutative():
-    a, b, c = _registry(1), _registry(2), _registry(3)
-    left = a.merge(b).merge(c)
-    right = a.merge(b.merge(c))
-    flipped = c.merge(a.merge(b))
-    assert left == right == flipped
-    assert left.counter("hits") == 6
-    assert left.counter("misses") == 3
-    assert left.counter("retries", edge="10.0.0.2") == 2
-    assert left.gauges()["depth.max"] == 3.0  # max, not sum
-    assert left.histogram("chain_depth").count == 2 + 3 + 4
-    # merge() leaves its operands untouched.
-    assert a.counter("hits") == 1
-
-
-def test_registry_merge_matches_single_registry_recording():
-    # Recording split across shards then merged == recording serially.
-    serial = MetricsRegistry()
-    for n in (1, 2, 3):
-        serial.merge_from(_registry(n))
-    one = _registry(1).merge(_registry(2)).merge(_registry(3))
-    assert serial == one
-
-
-def test_histogram_observe_and_merge():
-    a, b = HistogramData(), HistogramData()
-    a.observe(1.0)
-    a.observe(5.0)
-    b.observe(100.0)  # overflow bucket
-    a.merge_from(b)
-    assert a.count == 3
-    assert a.total == 106.0
-    assert (a.min, a.max) == (1.0, 100.0)
-    assert a.counts[0] == 1 and a.counts[-1] == 1
-    assert a.mean == pytest.approx(106.0 / 3)
-    with pytest.raises(ValueError):
-        a.merge_from(HistogramData(bounds=(1.0, 2.0)))
-
-
-def test_registry_pickles_for_the_shard_pipe():
-    registry = _registry(2)
-    clone = pickle.loads(pickle.dumps(registry))
-    assert clone == registry
-    clone.inc("hits")
-    assert clone.counter("hits") == registry.counter("hits") + 1
+def test_histogram_observe():
+    hist = HistogramData()
+    for value in (1.0, 5.0, 100.0):  # 100 lands in the overflow bucket
+        hist.observe(value)
+    assert hist.count == 3
+    assert hist.total == 106.0
+    assert (hist.min, hist.max) == (1.0, 100.0)
+    assert hist.counts[0] == 1 and hist.counts[-1] == 1
+    assert hist.mean == pytest.approx(106.0 / 3)
 
 
 def test_hit_rate():
@@ -143,7 +89,6 @@ def test_obs_is_disabled_by_default_and_costs_nothing():
     NULL_METRICS.inc("x", 5, edge="e")
     NULL_METRICS.gauge("g", 1.0)
     NULL_METRICS.observe("h", 2.0)
-    NULL_METRICS.merge_from(MetricsRegistry())
     assert NULL_METRICS.is_empty()
     assert NULL_METRICS.counters() == {}
     assert NULL_METRICS.rows() == []

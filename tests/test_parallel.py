@@ -2,8 +2,8 @@
 
 Covers the determinism contract (one inline shard records what the
 serial oracle records), the fused sampling path's feature parity with
-``WeeklyMonitor.sample``, the per-name dead letter, the metrics merge
-algebra, and the extraction cache.
+``WeeklyMonitor.sample``, the per-name dead letter, and the extraction
+cache.
 """
 
 from datetime import datetime, timedelta
@@ -19,45 +19,14 @@ from repro.faults.plan import FaultConfig, FaultPlan
 from repro.faults.retry import CircuitBreaker, RetryPolicy
 from repro.parallel import ProcessExecutor, SerialExecutor, fast_path_eligible
 from repro.parallel import executor as executor_module
+from repro.parallel import shard as shard_module
 from repro.parallel.shard import _sample_fused
-from repro.pipeline.metrics import PipelineMetrics, StageMetrics
 from repro.sim.clock import SimClock
 from repro.sim.rng import RngStreams
 from repro.world.internet import Internet
 
 T0 = datetime(2020, 1, 6)
 WEEK = timedelta(weeks=1)
-
-
-# -- merge algebra ---------------------------------------------------------
-
-
-def test_stage_metrics_merge_sums_and_rejects_name_mismatch():
-    a = StageMetrics(name="sweep", ticks=2, wall_time=1.0, items_processed=10)
-    b = StageMetrics(name="sweep", ticks=3, wall_time=0.5, retries=1)
-    merged = a.merge(b)
-    assert (merged.ticks, merged.wall_time, merged.items_processed) == (5, 1.5, 10)
-    assert merged.retries == 1
-    with pytest.raises(ValueError):
-        a.merge(StageMetrics(name="other"))
-
-
-def test_pipeline_metrics_merge_is_associative():
-    def registry(n):
-        metrics = PipelineMetrics()
-        metrics.record_tick("sweep", 1.0 * n, items=n)
-        metrics.record_tick("detect", 0.5, items=1)
-        return metrics
-
-    a, b, c = registry(1), registry(2), registry(3)
-    left = a.merge(b).merge(c)
-    right = a.merge(b.merge(c))
-    assert [
-        (r.name, r.ticks, r.wall_time, r.items_processed) for r in left.stages()
-    ] == [
-        (r.name, r.ticks, r.wall_time, r.items_processed) for r in right.stages()
-    ]
-    assert left.stage("sweep").items_processed == 6
 
 
 # -- fused path parity -----------------------------------------------------
@@ -248,6 +217,17 @@ def test_each_sweep_dispatches_one_inline_shard(monkeypatch):
     assert calls == [({"forked": False}, 1)] * 2
     with pytest.raises(ValueError):
         real(monitor, fqdns, T0, None, forked=True)
+
+
+def test_sweep_report_carries_the_shards_measured_cpu(monkeypatch):
+    # The shard reads the CPU clock before and after sampling.  A clock
+    # that ticks one second per read makes that 1.0 s exactly, which
+    # the sweep's wall time never is.
+    reads = iter(range(10))
+    monkeypatch.setattr(shard_module, "cpu_seconds_now", lambda: float(next(reads)))
+    internet, fqdns = _monitored_world(3)
+    report = ProcessExecutor().sweep(WeeklyMonitor(internet.client), fqdns, T0)
+    assert report.cpu_seconds == 1.0
 
 
 def test_monitor_stage_defaults_to_one_inline_shard():

@@ -137,30 +137,6 @@ def test_attacker_controlled_title_cannot_break_signatures(internet):
     assert all(isinstance(t, str) for t in page_tokens(features))
 
 
-# -- worker-process robustness (fork plumbing) ------------------------------
-
-
-def test_fork_failure_leaks_no_file_descriptors(monkeypatch):
-    """Regression: a failing ``os.fork`` used to leak both pipe fds."""
-    import os
-    import pytest
-    from repro.parallel.supervisor import fork_with_pipe
-
-    def count_fds():
-        return len(os.listdir("/proc/self/fd"))
-
-    def no_fork():
-        raise OSError("EAGAIN: simulated pid exhaustion")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    before = count_fds()
-    for _ in range(5):
-        with pytest.raises(OSError, match="EAGAIN"):
-            fork_with_pipe()
-    monkeypatch.undo()
-    assert count_fds() == before
-
-
 def _histories(monitor, names):
     return {
         name: [

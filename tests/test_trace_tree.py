@@ -103,23 +103,6 @@ def test_events_record_the_enclosing_span_as_parent():
     assert "parent" not in pong
 
 
-def test_replayed_buffer_events_keep_their_child_assigned_ids():
-    # Forked worker flow (the analysis pool's): the child buffers under
-    # the inherited context, the parent replays verbatim — ids survive
-    # untouched.
-    parent = BufferTracer()
-    with parent.span("sweep"):
-        child = parent.fork_buffer()
-        with child.span("sweep.shard", seq=2, shard=2):
-            pass
-    parent.replay(child.events)
-    replayed = [e for e in parent.events if e["name"] == "sweep.shard"]
-    assert replayed[0]["id"] == "sweep#0/sweep.shard#2"
-    assert replayed[0]["parent"] == "sweep#0"
-    # Replay also folds the shard span into the aggregates.
-    assert parent.aggregates()["sweep.shard"]["count"] == 1
-
-
 # -- satellite fixes -------------------------------------------------------
 
 
