@@ -25,10 +25,11 @@ Runs two ways:
 
 * under pytest (``pytest benchmarks/bench_report.py``): a reduced
   workload with a conservative ≥ 1.3× floor, emitting
-  ``benchmarks/results/report_engine.txt``;
+  ``benchmarks/results/report_engine_quick.txt``;
 * standalone (``python benchmarks/bench_report.py``): the paper-scale
-  acceptance run — ≥ 2× report wall-clock — or ``--quick`` for the
-  reduced workload.
+  acceptance run — ≥ 2× report wall-clock — emitting
+  ``benchmarks/results/report_engine.txt``, or ``--quick`` for the
+  reduced workload (``report_engine_quick.txt``).
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ def render(runs: List[Dict], scale_label: str) -> str:
 
 def test_report_engine_speedup(emit):
     runs = measure(**QUICK_SCALE)
-    emit("report_engine", render(runs, "quick scale"))
+    emit("report_engine_quick", render(runs, "quick scale"))
     speedup = _speedup(runs)
     assert speedup >= QUICK_GATE, (
         f"analysis engine only {speedup:.2f}x over the serial baseline "
@@ -189,7 +190,8 @@ def main(argv=None) -> int:
     table = render(runs, label)
     print(table)
     RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "report_engine.txt").write_text(table + "\n", encoding="utf-8")
+    name = "report_engine_quick" if args.quick else "report_engine"
+    (RESULTS_DIR / f"{name}.txt").write_text(table + "\n", encoding="utf-8")
     speedup = _speedup(runs)
     if speedup < gate:
         print(f"FAIL: {speedup:.2f}x < required {gate}x at {label}",

@@ -3,27 +3,32 @@
 One deterministic world is run once per executor — the serial oracle
 (:class:`SerialExecutor`, the generic sampler, swapped into the sweep
 stage) and the default single inline fused shard
-(:class:`ProcessExecutor`) — and the monitor-sweep stage's
-:class:`PipelineMetrics` row gives each one's sweep wall time and FQDN
-throughput.  Both must export a byte-identical dataset; the bench
-asserts it, so the throughput table doubles as an end-to-end
-determinism check.  The floor compares the inline row with the serial
-one: the gain is the fused path's, since sweeps do not fork.
+(:class:`ProcessExecutor`, sweeping through the monitor's touch ledger)
+— and the monitor-sweep stage's :class:`PipelineMetrics` row gives each
+one's sweep wall time and FQDN throughput.  Both must export a
+byte-identical dataset; the bench asserts it, so the throughput table
+doubles as an end-to-end determinism check.
 
 Runs two ways:
 
 * under pytest (``pytest benchmarks/bench_sweep_parallel.py``): the
-  laptop-fast small scenario, emitting ``benchmarks/results/``;
+  laptop-fast small scenario;
 * standalone (``python benchmarks/bench_sweep_parallel.py``): the
   paper-scale default scenario (the acceptance run — ≥ 2× the serial
   sweep's throughput), or ``--quick`` for the small one (≥ 1×).
 
-A second table measures the churn-proportional ``--incremental`` mode
-on the low-churn world: a full serial sweep (the gate's baseline), an
-ungated full fused sweep (one inline shard), and the incremental sweep
-(one inline shard too, so the last two rows isolate the revision
-journal's clean-skip savings).  The standalone acceptance gate is ≥ 2×
-the serial sweep's throughput with a byte-identical export.
+A second table measures the churn-proportional ledger sweep on the
+low-churn world: a full serial sweep (the gate's baseline), an ungated
+full fused sweep (one inline shard on a monitor whose journal is
+detached) and the default ledger sweep (one inline shard too, so the
+last two rows isolate the ledger's savings).  The standalone
+acceptance gate is ≥ 2× the serial sweep's throughput with a
+byte-identical export.
+
+Paper-scale runs write ``benchmarks/results/sweep_parallel.{txt,json}``
+and ``sweep_incremental.{txt,json}``; small runs (pytest and
+``--quick``) write the same names with a ``_small`` suffix, so they
+never overwrite the committed paper-scale tables.
 """
 
 from __future__ import annotations
@@ -48,8 +53,7 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 VARIANTS = (True, False)
 
 
-def _config(scale: str, weeks: Optional[int],
-            incremental: bool = False, low_churn: bool = False) -> ScenarioConfig:
+def _config(scale: str, weeks: Optional[int], low_churn: bool = False) -> ScenarioConfig:
     if scale == "tiny":
         config = ScenarioConfig.tiny()
     elif scale == "small":
@@ -58,7 +62,6 @@ def _config(scale: str, weeks: Optional[int],
         config = ScenarioConfig()
     if weeks is not None:
         config.weeks = weeks
-    config.incremental = incremental
     if low_churn:
         # The churn-proportional acceptance scenario: a quiet world
         # where most weeks most names are provably unchanged.
@@ -66,21 +69,21 @@ def _config(scale: str, weeks: Optional[int],
     return config
 
 
-def run_variant(scale: str, weeks: Optional[int],
-                incremental: bool = False, low_churn: bool = False,
-                serial: bool = False) -> Dict:
+def run_variant(scale: str, weeks: Optional[int], low_churn: bool = False,
+                serial: bool = False, full: bool = False) -> Dict:
     """One full scenario run; sweep cost read off the stage metrics.
 
-    ``serial`` swaps :class:`SerialExecutor` into the sweep stage: no
-    CLI run uses it, so the baselines have to ask for it.
+    ``serial`` swaps :class:`SerialExecutor` into the sweep stage, and
+    ``full`` detaches the monitor's journal so the inline shard samples
+    every name: no CLI run does either, so the baselines have to ask.
     """
-    engine = build_scenario(
-        _config(scale, weeks, incremental=incremental, low_churn=low_churn)
-    )
+    engine = build_scenario(_config(scale, weeks, low_churn=low_churn))
     result = engine.payload
     if serial:
         stage = next(s for s in engine.stages if s.name == "monitor-sweep")
         stage._executor = result.executor = SerialExecutor()
+    if full:
+        result.monitor.journal = None
     engine.run()
     sweep = engine.metrics.stage("monitor-sweep")
     executor = result.executor
@@ -98,7 +101,7 @@ def run_variant(scale: str, weeks: Optional[int],
         # every sweep runs in one process.
         "workers": 1,
         "mode": mode,
-        "incremental": incremental,
+        "sweep": "serial" if serial else "full fused" if full else "ledger",
         "wall_s": sweep.wall_time,
         "items": sweep.items_processed,
         "throughput": sweep.items_per_second,
@@ -182,10 +185,19 @@ def render(runs: List[Dict], scale: str) -> str:
     )
 
 
+def _results_path(name: str, scale: str, suffix: str) -> pathlib.Path:
+    """Where a table goes: paper-scale runs own the unsuffixed names."""
+    if scale != "full":
+        name = f"{name}_{scale}"
+    return RESULTS_DIR / f"{name}.{suffix}"
+
+
 def emit_results(runs: List[Dict], scale: str, out=sys.stdout) -> str:
     table = render(runs, scale)
     RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "sweep_parallel.txt").write_text(table + "\n", encoding="utf-8")
+    _results_path("sweep_parallel", scale, "txt").write_text(
+        table + "\n", encoding="utf-8"
+    )
     baseline = runs[0]["throughput"]
     trajectory = {
         "scale": scale,
@@ -199,35 +211,36 @@ def emit_results(runs: List[Dict], scale: str, out=sys.stdout) -> str:
             runs[-1]["throughput"] / baseline if baseline else 0.0
         ),
     }
-    (RESULTS_DIR / "sweep_parallel.json").write_text(
+    _results_path("sweep_parallel", scale, "json").write_text(
         json.dumps(trajectory, indent=2) + "\n", encoding="utf-8"
     )
     print(f"\n=== sweep_parallel ({scale}) ===\n{table}\n", file=out)
     return table
 
 
-# -- incremental (churn-proportional) variant ------------------------------
+# -- ledger (churn-proportional) variant ----------------------------------
 
 
-#: ``(incremental, serial)`` runs of the incremental table, baseline first.
-INCREMENTAL_VARIANTS = ((False, True), (False, False), (True, False))
+#: ``(serial, full)`` runs of the ledger table, baseline first: the
+#: serial oracle, a full fused sweep, and the default ledger sweep.
+LEDGER_VARIANTS = ((True, False), (False, True), (False, False))
 
 
 def measure_incremental(scale: str, weeks: Optional[int] = None) -> List[Dict]:
-    """Full-vs-incremental sweeps on the low-churn scenario.
+    """Full-vs-ledger sweeps on the low-churn scenario.
 
     All runs share the quiet world (0.2%/week release rate): the
-    serial full sweep, then a single inline shard full and incremental,
-    so the last two isolate the journal's clean-skip savings.  Every
-    run must export the byte-identical dataset (only the cost moves).
+    serial full sweep, then a single inline shard with the journal
+    detached (full fused) and with it (the ledger), so the last two
+    isolate the ledger's savings.  Every run must export the
+    byte-identical dataset (only the cost moves).
     """
     runs = [
-        run_variant(scale, weeks, incremental=incremental,
-                    low_churn=True, serial=serial)
-        for incremental, serial in INCREMENTAL_VARIANTS
+        run_variant(scale, weeks, low_churn=True, serial=serial, full=full)
+        for serial, full in LEDGER_VARIANTS
     ]
     digests = {run["digest"] for run in runs}
-    assert len(digests) == 1, f"incremental export diverged from full: {digests}"
+    assert len(digests) == 1, f"ledger export diverged from full: {digests}"
     return runs
 
 
@@ -240,37 +253,31 @@ def measure_incremental_isolated(scale: str,
     existing = env.get("PYTHONPATH", "")
     env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
     runs: List[Dict] = []
-    for incremental, serial in INCREMENTAL_VARIANTS:
+    for serial, full in LEDGER_VARIANTS:
         cmd = [sys.executable, str(script),
                "--variant", "--scale", scale, "--low-churn"]
-        if incremental:
-            cmd.append("--incremental")
         if serial:
             cmd.append("--serial")
+        if full:
+            cmd.append("--full")
         if weeks is not None:
             cmd += ["--weeks", str(weeks)]
         proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
         if proc.returncode != 0:
             raise RuntimeError(
-                f"bench variant incremental={incremental} failed:\n{proc.stderr}"
+                f"bench variant serial={serial} full={full} failed:\n{proc.stderr}"
             )
         runs.append(json.loads(proc.stdout.splitlines()[-1]))
     digests = {run["digest"] for run in runs}
-    assert len(digests) == 1, f"incremental export diverged from full: {digests}"
+    assert len(digests) == 1, f"ledger export diverged from full: {digests}"
     return runs
-
-
-def _incremental_label(run: Dict) -> str:
-    if run["incremental"]:
-        return "incremental"
-    return "full" if run["mode"] == "serial" else "full fused"
 
 
 def render_incremental(runs: List[Dict], scale: str) -> str:
     baseline = runs[0]["throughput"]
     rows = [
         (
-            f"{_incremental_label(run)} ({run['mode']})",
+            f"{run['sweep']} ({run['mode']})",
             run["items"],
             f"{run['wall_s']:.2f}",
             f"{run['throughput']:,.0f}",
@@ -279,10 +286,10 @@ def render_incremental(runs: List[Dict], scale: str) -> str:
         for run in runs
     ]
     return render_table(
-        ["sweep mode", "fqdns swept", "sweep wall s", "fqdn/s", "speedup"],
+        ["sweep", "fqdns swept", "sweep wall s", "fqdn/s", "speedup"],
         rows,
         title=(
-            f"Churn-proportional sweep, full vs --incremental "
+            f"Churn-proportional sweep, full vs touch ledger "
             f"({scale} scenario, low churn, {runs[0]['weeks']} weeks, "
             f"digests byte-identical)"
         ),
@@ -292,21 +299,21 @@ def render_incremental(runs: List[Dict], scale: str) -> str:
 def emit_incremental(runs: List[Dict], scale: str, out=sys.stdout) -> str:
     table = render_incremental(runs, scale)
     RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "sweep_incremental.txt").write_text(
+    _results_path("sweep_incremental", scale, "txt").write_text(
         table + "\n", encoding="utf-8"
     )
     baseline = runs[0]["throughput"]
-    (RESULTS_DIR / "sweep_incremental.json").write_text(
+    _results_path("sweep_incremental", scale, "json").write_text(
         json.dumps(
             {
                 "scale": scale,
                 "weeks": runs[0]["weeks"],
                 "runs": [
                     {key: run[key] for key in
-                     ("incremental", "mode", "items", "wall_s", "throughput")}
+                     ("sweep", "mode", "items", "wall_s", "throughput")}
                     for run in runs
                 ],
-                "incremental_speedup": (
+                "ledger_speedup": (
                     runs[-1]["throughput"] / baseline if baseline else 0.0
                 ),
             },
@@ -321,11 +328,10 @@ def emit_incremental(runs: List[Dict], scale: str, out=sys.stdout) -> str:
 # -- pytest entry point ----------------------------------------------------
 
 
-def test_sweep_parallel_throughput(emit):
+def test_sweep_parallel_throughput():
     """Small-scale parity + throughput record for the bench trajectory."""
     runs = measure("small")
     emit_results(runs, "small")
-    emit("sweep_parallel", render(runs, "small"))
     speedup = runs[-1]["throughput"] / runs[0]["throughput"]
     # The inline fused shard must never run slower than the serial
     # baseline; the >= 2x acceptance gate applies to the default-scale
@@ -339,15 +345,14 @@ def test_sweep_parallel_throughput(emit):
             assert abs(run["last_sweep_wall_s"] - run["last_sweep_cpu_s"]) < 1e-9
 
 
-def test_sweep_incremental_throughput(emit):
-    """Full-vs-incremental parity + throughput on the low-churn world."""
+def test_sweep_incremental_throughput():
+    """Full-vs-ledger parity + throughput on the low-churn world."""
     runs = measure_incremental("small")
     emit_incremental(runs, "small")
-    emit("sweep_incremental", render_incremental(runs, "small"))
     speedup = runs[-1]["throughput"] / runs[0]["throughput"]
     # In-process conservative floor; the >= 2x acceptance gate applies
     # to the isolated standalone run.
-    assert speedup >= 1.5, f"incremental sweep only {speedup:.2f}x the serial full sweep"
+    assert speedup >= 1.5, f"ledger sweep only {speedup:.2f}x the serial full sweep"
 
 
 # -- standalone entry point ------------------------------------------------
@@ -368,17 +373,17 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "executor")
     parser.add_argument("--scale", default=None,
                         help="internal: scenario scale for --variant")
-    parser.add_argument("--incremental", action="store_true",
-                        help="internal: run the --variant with "
-                             "churn-proportional sweeps on")
+    parser.add_argument("--full", action="store_true",
+                        help="internal: run the --variant as a full fused "
+                             "sweep (the monitor's journal detached)")
     parser.add_argument("--low-churn", action="store_true",
                         help="internal: run the --variant on the quiet "
                              "(0.2%%/week release) world")
     args = parser.parse_args(argv)
     if args.variant:
         run = run_variant(args.scale or "full", args.weeks,
-                          incremental=args.incremental,
-                          low_churn=args.low_churn, serial=args.serial)
+                          low_churn=args.low_churn, serial=args.serial,
+                          full=args.full)
         print(json.dumps(run))
         return 0
     scale = "small" if args.quick else "full"
@@ -396,10 +401,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     inc_speedup = runs[-1]["throughput"] / runs[0]["throughput"]
     inc_floor = 1.5 if args.quick else 2.0
     if inc_speedup < inc_floor:
-        print(f"FAIL: incremental sweep {inc_speedup:.2f}x below the "
+        print(f"FAIL: ledger sweep {inc_speedup:.2f}x below the "
               f"{inc_floor:.1f}x floor", file=sys.stderr)
         return 1
-    print(f"incremental sweep speedup (low churn): {inc_speedup:.2f}x")
+    print(f"ledger sweep speedup (low churn): {inc_speedup:.2f}x")
     return 0
 
 

@@ -5,7 +5,6 @@
     python -m repro run        [--seed N] [--weeks N] [--scale tiny|small|full]
                                [--notify] [--randomize-names] [--export PATH]
                                [--faults [LEVEL]] [--fault-seed N] [--retries N]
-                               [--incremental]
                                [--checkpoint-dir DIR] [--checkpoint-every N]
                                [--resume]
     python -m repro report     [--seed N] [--scale ...] [--report-json PATH]
@@ -52,11 +51,12 @@ budget.  ``pipeline`` additionally prints the resilience summary —
 injected-fault counts, client retries, breaker trips, quarantined
 FQDNs.
 
-``--incremental`` makes sweeps churn-proportional: each week the
-monitor asks the world's revision journal what changed since its last
-pass and extends unchanged names' observation windows from its touch
-ledger instead of re-sampling them.  Exports stay byte-identical to a
-full sweep's for any seed.
+Sweeps are churn-proportional: each week the monitor asks the world's
+revision journal what changed since its last pass and extends
+unchanged names' observation windows from its touch ledger instead of
+re-sampling them, while a fixed slice of those names is re-sampled in
+full as a soundness check.  Exports stay byte-identical to a full
+sweep's for any seed.
 
 ``--linear-detector`` turns the detector's inverted signature/posting
 indexes off and matches with the paper-faithful linear scans; exports
@@ -151,11 +151,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--retries", type=_in_range(int, 0), default=None, metavar="N",
                          help="monitor retry budget for transient "
                               "failures (default: no retries)")
-        cmd.add_argument("--incremental", action="store_true",
-                         help="churn-proportional sweeps: skip names whose "
-                              "revision-journal dependencies are unchanged "
-                              "since their last sample (byte-identical "
-                              "exports to a full sweep)")
         cmd.add_argument("--linear-detector", action="store_true",
                          help="disable the detector's signature/posting "
                               "indexes and match with the paper-faithful "
@@ -237,7 +232,6 @@ def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
         )
     if getattr(args, "retries", None) is not None:
         config.monitor.retry = RetryPolicy.standard(max(1, args.retries))
-    config.incremental = bool(getattr(args, "incremental", False))
     config.detector.use_index = not getattr(args, "linear_detector", False)
     return config
 
@@ -451,7 +445,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
                                     "command": args.command,
                                     "seed": args.seed,
                                     "scale": args.scale,
-                                    "incremental": config.incremental,
                                 },
                             ),
                             indent=2,

@@ -13,10 +13,12 @@ and what change detection consumes.
 from __future__ import annotations
 
 import hashlib
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from datetime import datetime
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from itertools import filterfalse
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.keywords import extract_keywords
 from repro.core.sigindex import (
@@ -28,6 +30,7 @@ from repro.core.sigindex import (
 from repro.dns.names import Name
 from repro.faults.retry import RetryPolicy
 from repro.obs import OBS
+from repro.sim.windows import SweepWindow
 from repro.web.client import FetchOutcome, FetchStatus, HttpClient
 from repro.web.html import parse_html
 from repro.web.sitemap import sitemap_summary
@@ -128,14 +131,35 @@ class SnapshotFeatures:
         )
 
 
-@dataclass
-class StoredState:
-    """One deduplicated content state and its observation window."""
+class StoredState(SweepWindow):
+    """One deduplicated content state and its observation window.
 
-    features: SnapshotFeatures
-    first_seen: datetime
-    last_seen: datetime
-    observations: int = 1
+    While the FQDN stands in the monitor's :class:`TouchLedger`, each
+    sweep extends ``last_seen`` and ``observations`` lazily; both read
+    exact (see :class:`~repro.sim.windows.SweepWindow`).
+    """
+
+    __slots__ = ("features", "first_seen")
+
+    def __init__(
+        self,
+        features: SnapshotFeatures,
+        first_seen: datetime,
+        last_seen: datetime,
+        observations: int = 1,
+    ) -> None:
+        super().__init__(last_seen, observations)
+        self.features = features
+        self.first_seen = first_seen
+
+    last_seen = property(SweepWindow._window_last)
+    observations = property(SweepWindow._window_count)
+
+    def see(self, at: datetime) -> None:
+        """One more observation of this state, at ``at``."""
+        self.fold()
+        self._last_seen = at
+        self._count += 1
 
 
 class SnapshotStore:
@@ -163,9 +187,7 @@ class SnapshotStore:
         """
         history = self._history.setdefault(features.fqdn, [])
         if history and history[-1].features.state_key() == features.state_key():
-            current = history[-1]
-            current.last_seen = features.at
-            current.observations += 1
+            history[-1].see(features.at)
             return False, history[-2].features if len(history) > 1 else None
         previous = history[-1].features if history else None
         history.append(
@@ -212,10 +234,7 @@ class SnapshotStore:
         — minus the cost of building the features object.  The caller
         must have verified the observed state is unchanged.
         """
-        history = self._history[fqdn]
-        current = history[-1]
-        current.last_seen = at
-        current.observations += 1
+        self._history[fqdn][-1].see(at)
 
     def history(self, fqdn: Name) -> List[StoredState]:
         return list(self._history.get(fqdn, []))
@@ -245,12 +264,32 @@ class ExtractionCache:
     a cached entry is byte-identical to re-extraction.  Disabled by
     default (``WeeklyMonitor`` is built without one); the sweep
     executor owns one per run and threads it into every sweep.
+
+    ``body_hashes`` memoises the fused sampler's body digests.  Sites
+    hand back the *same* body string until their content changes, so
+    the steady-state lookup is an identity hit; sha256 is a pure
+    function of the text, so an equal-but-distinct string mapping to
+    the cached digest is correct too.  It is cleared wholesale when it
+    reaches :attr:`BODY_HASH_MAX` entries.
     """
+
+    BODY_HASH_MAX = 4096
 
     html: Dict[str, Dict[str, object]] = field(default_factory=dict)
     sitemap: Dict[str, Tuple[int, int, Tuple[str, ...]]] = field(default_factory=dict)
+    body_hashes: Dict[str, str] = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
+
+    def body_hash(self, body: str) -> str:
+        """The truncated sha256 of ``body``, via :attr:`body_hashes`."""
+        digest = self.body_hashes.get(body)
+        if digest is None:
+            if len(self.body_hashes) >= self.BODY_HASH_MAX:
+                self.body_hashes.clear()
+            digest = hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
+            self.body_hashes[body] = digest
+        return digest
 
 
 @dataclass(frozen=True)
@@ -265,10 +304,10 @@ class TouchEntry:
     name's observable state provably equals ``state_key`` and a sweep
     may extend its observation window without re-sampling.
 
-    ``observed`` replays the passive-DNS observations the skipped
-    resolution would have produced, keeping exports byte-identical.
-    Entries are plain data (no live world references), so they survive
-    checkpoint resumes.
+    ``observed`` lists the passive-DNS records the skipped resolution
+    would have sighted, keeping exports byte-identical.  Entries are
+    plain data (no live world references), so they survive checkpoint
+    resumes.
     """
 
     fqdn: Name
@@ -277,15 +316,33 @@ class TouchEntry:
     observed: Tuple = ()
 
 
+#: Each ledger sweep re-samples the standing names of one slot in this
+#: many, in full, as the ledger's in-run soundness check.
+SELFCHECK_SLOTS = 64
+
+
+def selfcheck_slot(fqdn: Name) -> int:
+    """``fqdn``'s soundness-check slot, independent of ``PYTHONHASHSEED``."""
+    return zlib.crc32(fqdn.encode("utf-8", "surrogatepass")) % SELFCHECK_SLOTS
+
+
 class TouchLedger:
-    """Size-capped store of :class:`TouchEntry` proofs, monitor-owned.
+    """Size-capped LRU store of :class:`TouchEntry` proofs, monitor-owned.
 
     Entries are validated against the revision journal (value
     semantics), not against Python object identity, so they stay valid
-    across checkpoint resumes and site types.  ``cursor`` marks the journal position the
-    ledger was last reconciled at: every live entry's dependencies are
-    unchanged as of that cursor, so one ``changed_since(cursor)`` call
-    yields the sweep's dirty set.
+    across checkpoint resumes and site types.  ``cursor`` marks the
+    journal position the ledger was last reconciled at: every live
+    entry's dependencies are unchanged as of that cursor.
+
+    A name whose proof is installed with its windows — its current
+    snapshot state and the passive-DNS sightings its resolution makes —
+    *stands*: from the next sweep on, each instant a ledger sweep
+    appends to :attr:`sweeps` extends those windows by one observation,
+    with no per-name work at all.  A name leaves (its windows fold
+    first) when its proof is invalidated, replaced or evicted.  A
+    reverse index from journal subject to dependent names turns a
+    sweep's ``changed_since(cursor)`` into its dirty names directly.
     """
 
     def __init__(self, cap: int = 65536):
@@ -293,29 +350,168 @@ class TouchLedger:
             raise ValueError(f"cap must be positive, got {cap}")
         self.cap = cap
         self._entries: "OrderedDict[Name, TouchEntry]" = OrderedDict()
+        #: Journal subject -> the name, or the set of several names,
+        #: whose proof depends on it (most subjects have one name, and
+        #: a bare name costs no set).
+        self._dependents: Dict[Tuple[str, object], object] = {}
+        #: Soundness-check slot -> names with a proof in that slot.
+        self._slots: Dict[int, Set[Name]] = {}
+        #: Standing name -> the windows its sweeps extend.
+        self._windows: Dict[Name, Tuple[SweepWindow, ...]] = {}
+        #: This sweep's soundness slice: name -> (proof, windows), out
+        #: of the standing set until its full sample confirms the proof.
+        self._checking: Dict[Name, Tuple[TouchEntry, Tuple[SweepWindow, ...]]] = {}
+        #: One instant per ledger sweep; standing windows extend from it.
+        self.sweeps: List[datetime] = []
         #: Journal cursor as of the last completed sweep.
         self.cursor = 0
         self.evictions = 0
 
     def get(self, fqdn: Name) -> Optional[TouchEntry]:
         """The entry for ``fqdn``, if any.  Read-only: recency order is
-        deliberately not updated, so checking a name during a sweep
-        never reorders evictions; only :meth:`put` refreshes it."""
+        deliberately not updated; only :meth:`put` refreshes it."""
         return self._entries.get(fqdn)
 
-    def put(self, fqdn: Name, entry: TouchEntry) -> None:
-        """Insert or refresh ``fqdn``'s entry, evicting when over cap."""
+    def put(
+        self, fqdn: Name, entry: TouchEntry, windows: Tuple[SweepWindow, ...] = ()
+    ) -> None:
+        """Insert or refresh ``fqdn``'s entry, evicting when over cap.
+
+        ``windows`` stand from the next sweep on.
+        """
+        self.invalidate(fqdn)
         self._entries[fqdn] = entry
-        self._entries.move_to_end(fqdn)
+        index = self._dependents
+        for subject in entry.deps:
+            names = index.setdefault(subject, fqdn)
+            if isinstance(names, set):
+                names.add(fqdn)
+            elif names != fqdn:
+                index[subject] = {names, fqdn}
+        self._slots.setdefault(selfcheck_slot(fqdn), set()).add(fqdn)
+        if windows:
+            self._windows[fqdn] = windows
+            for window in windows:
+                window.stand(self.sweeps, 1)
         while len(self._entries) > self.cap:
-            self._entries.popitem(last=False)
+            self.invalidate(next(iter(self._entries)))
             self.evictions += 1
             if OBS.enabled:
                 OBS.metrics.inc("monitor.touch_ledger.evictions")
 
     def invalidate(self, fqdn: Name) -> None:
-        """Drop ``fqdn``'s entry (no-op when absent)."""
-        self._entries.pop(fqdn, None)
+        """Drop ``fqdn``'s entry (no-op when absent); it stops standing."""
+        entry = self._entries.pop(fqdn, None)
+        if entry is None:
+            return
+        index = self._dependents
+        for subject in entry.deps:
+            names = index.get(subject)
+            if isinstance(names, set):
+                names.discard(fqdn)
+                if len(names) == 1:
+                    index[subject] = names.pop()
+            elif names == fqdn:
+                del index[subject]
+        self._slots[selfcheck_slot(fqdn)].discard(fqdn)
+        for window in self._windows.pop(fqdn, ()):
+            window.stand(self.sweeps, -1)
+
+    def clear(self) -> None:
+        """Drop every entry, as a sweep that samples every name must."""
+        for windows in self._windows.values():
+            for window in windows:
+                window.stand(self.sweeps, -1)
+        self._entries.clear()
+        self._dependents.clear()
+        self._slots.clear()
+        self._windows.clear()
+        self._checking = {}
+
+    def begin_sweep(
+        self, fqdns: Sequence[Name], changed: Set, at: datetime
+    ) -> Tuple[List[Name], int]:
+        """Open a ledger sweep of ``fqdns`` at ``at``.
+
+        Drops every proof a subject in ``changed`` voids (the dirty
+        names) or whose name this sweep does not cover, takes this
+        sweep's soundness slice out of the standing set, and appends
+        ``at`` to :attr:`sweeps`, which extends every name still
+        standing by one observation.  Returns the names left to sample,
+        in ``fqdns`` order, and how many names the append extended.
+        """
+        swept = set(fqdns)
+        if len(swept) != len(fqdns):
+            # A repeated name takes one sample per occurrence, and no
+            # window stands for two: sample everything.
+            self.clear()
+            return list(fqdns), 0
+        dirty: Set[Name] = set()
+        for subject in changed:
+            names = self._dependents.get(subject)
+            if isinstance(names, set):
+                dirty.update(names)
+            elif names is not None:
+                dirty.add(names)
+        if dirty and OBS.enabled:
+            OBS.metrics.inc("journal.dirty", len(dirty))
+        dirty.update(self._entries.keys() - swept)
+        for fqdn in dirty:
+            self.invalidate(fqdn)
+        self._checking = {
+            fqdn: (self._entries[fqdn], self._windows.pop(fqdn, ()))
+            for fqdn in self._slots.get(len(self.sweeps) % SELFCHECK_SLOTS, ())
+        }
+        for _entry, windows in self._checking.values():
+            for window in windows:
+                window.stand(self.sweeps, -1)
+        if self._checking and OBS.enabled:
+            OBS.metrics.inc("selfcheck.ledger.checked", len(self._checking))
+        self.sweeps.append(at)
+        standing = (
+            self._entries.keys() - self._checking.keys()
+            if self._checking else self._entries
+        )
+        return (
+            list(filterfalse(standing.__contains__, fqdns)),
+            len(self._entries) - len(self._checking),
+        )
+
+    def confirm(self, fqdn: Name, fresh: Optional[TouchEntry]) -> bool:
+        """Whether ``fqdn``'s full sample confirms its soundness check.
+
+        True when ``fqdn`` is in this sweep's slice and its sample was
+        a touch whose freshly minted proof ``fresh`` equals the
+        installed one.  The proof and its recency then stay as they
+        were, and the name stands again from the next sweep.
+        """
+        pending = self._checking.get(fqdn)
+        if pending is None or fresh != pending[0]:
+            return False
+        del self._checking[fqdn]
+        entry, windows = pending
+        if self._entries.get(fqdn) is entry:  # not evicted meanwhile
+            self._windows[fqdn] = windows
+            for window in windows:
+                window.stand(self.sweeps, 1)
+        return True
+
+    def finish_sweep(self, cursor: int) -> int:
+        """Close the sweep at journal position ``cursor``.
+
+        Returns how many soundness checks disagreed with their proofs;
+        those names' real samples were recorded, and their proofs are
+        gone.
+        """
+        unsound = len(self._checking)
+        for fqdn, (entry, _windows) in self._checking.items():
+            if self._entries.get(fqdn) is entry:
+                self.invalidate(fqdn)
+        self._checking = {}
+        self.cursor = cursor
+        if unsound and OBS.enabled:
+            OBS.metrics.inc("selfcheck.ledger.unsound", unsound)
+        return unsound
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -332,7 +528,6 @@ class WeeklyMonitor:
         config: Optional[MonitorConfig] = None,
         extraction_cache: Optional[ExtractionCache] = None,
         journal=None,
-        incremental: bool = False,
     ):
         self._client = client
         self.store = store if store is not None else SnapshotStore()
@@ -340,16 +535,17 @@ class WeeklyMonitor:
         #: Optional content-addressed extraction memo (None = always
         #: re-extract, as the serial oracle does).
         self.extraction_cache = extraction_cache
-        #: The world's :class:`repro.sim.revisions.RevisionJournal`;
-        #: required for incremental sweeps, harmless otherwise.
+        #: The world's :class:`repro.sim.revisions.RevisionJournal`.
+        #: With one, healthy sweeps extend proven-clean names' windows
+        #: through the :class:`TouchLedger` instead of re-sampling
+        #: them; without one, every sweep samples every name.
         self.journal = journal
-        #: When true (and a journal is wired), sweeps compute a dirty
-        #: set from the journal and extend clean names' windows through
-        #: the :class:`TouchLedger` instead of re-sampling them.
-        self.incremental = incremental
         self.touch_ledger = TouchLedger(cap=self.config.touch_ledger_cap)
         self.samples_taken = 0
         self.sitemap_fetches = 0
+        #: Soundness checks whose full sample disagreed with the
+        #: name's ledger proof (0 in a correct program).
+        self.ledger_unsound = 0
 
     @property
     def client(self) -> HttpClient:

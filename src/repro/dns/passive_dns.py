@@ -17,22 +17,38 @@ cloud names to the victims still pointing at them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import datetime
 from typing import Dict, List, Optional, Set
 
 from repro.dns.names import Name, is_subdomain_of, normalize_name, registered_domain
 from repro.dns.records import RRType, ResourceRecord
+from repro.sim.windows import SweepWindow
 
 
-@dataclass
-class PassiveDNSObservation:
-    """Aggregated sightings of one record."""
+class PassiveDNSObservation(SweepWindow):
+    """Aggregated sightings of one record.
 
-    record: ResourceRecord
-    first_seen: datetime
-    last_seen: datetime
-    count: int = 1
+    A record that standing monitor names resolve through is re-sighted
+    by every sweep without an :meth:`PassiveDNS.observe` call: its
+    ``last_seen`` and ``count`` extend lazily and read exact (see
+    :class:`~repro.sim.windows.SweepWindow`).
+    """
+
+    __slots__ = ("record", "first_seen")
+
+    def __init__(
+        self,
+        record: ResourceRecord,
+        first_seen: datetime,
+        last_seen: datetime,
+        count: int = 1,
+    ) -> None:
+        super().__init__(last_seen, count)
+        self.record = record
+        self.first_seen = first_seen
+
+    last_seen = property(SweepWindow._window_last)
+    count = property(SweepWindow._window_count)
 
 
 class PassiveDNS:
@@ -59,12 +75,14 @@ class PassiveDNS:
                     record.name
                 )
         else:
+            if obs._standing:
+                obs.fold()
             # first_seen <= last_seen, so at most one end moves.
-            if at > obs.last_seen:
-                obs.last_seen = at
+            if at > obs._last_seen:
+                obs._last_seen = at
             elif at < obs.first_seen:
                 obs.first_seen = at
-            obs.count += 1
+            obs._count += 1
         return obs
 
     def observation_for(self, record: ResourceRecord) -> Optional[PassiveDNSObservation]:

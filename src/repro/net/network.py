@@ -42,7 +42,7 @@ class Network:
         self._hosts: Dict[str, Host] = {}
         self.fault_plan = fault_plan
         #: Optional :class:`repro.sim.revisions.RevisionJournal`; when
-        #: set, every (un)bind bumps ``("net", ip)`` so incremental
+        #: set, every (un)bind bumps ``("net", ip)`` so ledger
         #: sweeps notice addresses going dark or lighting back up.
         self.journal = journal
 

@@ -121,7 +121,7 @@ def chrome_trace(events: List[Dict]) -> Dict:
     trace_events.sort(key=lambda entry: (entry["pid"], entry["tid"], entry["ts"]))
 
     metadata: List[Dict] = []
-    for pid, label in ((1, "repro pipeline"), (_ANALYSIS_PID, "analysis pool")):
+    for pid, label in ((1, "repro pipeline"), (_ANALYSIS_PID, "report phase")):
         if any(key[0] == pid for key in lanes_seen):
             metadata.append({
                 "name": "process_name", "ph": "M", "pid": pid, "tid": 0,

@@ -350,8 +350,8 @@ def parity_projection(events: List[Dict]) -> List[Dict]:
     and the trailing metrics snapshot (whose ``sweep.shards.*`` and
     cache-split counters depend on the executor).  What survives — the
     stage, analysis and checkpoint spans with their causal ids — must
-    be byte-identical for one seed across executors and
-    ``--incremental`` on/off.
+    be byte-identical for one seed across executors, and between a
+    ledger sweep and a full one.
     """
     kept: List[Dict] = []
     for event in events:

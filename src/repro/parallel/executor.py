@@ -6,10 +6,12 @@ is the pipeline's executor: it samples the whole list as one inline
 shard (:func:`~repro.parallel.shard.run_shard`) and then records the
 shard's samples into the snapshot store in input order, so the store,
 the changed-pairs list and the quarantine list see the exact sequence a
-plain serial loop would have produced.  :class:`SerialExecutor` is that
-plain loop over the generic ``WeeklyMonitor.sample`` — no run uses it;
-tests and benchmark scripts keep it as the oracle the fused shard path
-must equal.
+plain serial loop would have produced — except that names whose touch
+ledger proof stands are extended in bulk rather than sampled.
+:class:`SerialExecutor` is that plain loop over the generic
+``WeeklyMonitor.sample``, a full sweep of every name — no run uses it;
+tests and benchmark scripts keep it as the oracle the ledger sweep must
+equal.
 
 Under fault injection the shard samples through the generic
 ``WeeklyMonitor.sample`` (see :func:`~repro.parallel.shard.fast_path_eligible`),
@@ -28,11 +30,13 @@ from repro.core.monitoring import (
     TRANSIENT_SAMPLE_STATUSES,
     ExtractionCache,
     SnapshotFeatures,
+    TouchEntry,
     WeeklyMonitor,
 )
 from repro.dns.names import Name
 from repro.obs import OBS
 from repro.parallel.shard import ShardResult, run_shard
+from repro.sim.windows import SweepWindow
 
 ChangedPair = Tuple[SnapshotFeatures, Optional[SnapshotFeatures]]
 
@@ -94,6 +98,8 @@ class SerialExecutor(SweepExecutor):
         self, monitor: WeeklyMonitor, fqdns: Sequence[Name], at: datetime
     ) -> SweepReport:
         started = time.perf_counter()
+        # Every name is sampled: no ledger proof may stand through it.
+        monitor.touch_ledger.clear()
         report = SweepReport()
         for fqdn in fqdns:
             features = monitor.sample(fqdn, at)
@@ -109,6 +115,16 @@ class SerialExecutor(SweepExecutor):
         report.wall_seconds = report.cpu_seconds = time.perf_counter() - started
         self.last_report = report
         return report
+
+
+def _standing_windows(store, feed, entry: TouchEntry) -> Tuple[SweepWindow, ...]:
+    """The windows a standing ``entry`` extends each sweep: its name's
+    current snapshot state and, when resolutions feed passive DNS, the
+    sighting of every record its resolution observes."""
+    windows: List[SweepWindow] = [store.history(entry.fqdn)[-1]]
+    if feed is not None:
+        windows.extend(feed.observation_for(record) for record in entry.observed)
+    return tuple(windows)
 
 
 class ShardDispatch(NamedTuple):
@@ -142,9 +158,11 @@ def run_shards_supervised(
 class ProcessExecutor(SweepExecutor):
     """The pipeline's executor: each sweep is one inline fused shard.
 
-    The shard samples every name (:func:`run_shards_supervised`) and
-    :meth:`_apply` then records the samples, touch markers, failures and
-    dead letters into the monitor in input order.
+    The shard samples every name that does not stand in the monitor's
+    touch ledger (:func:`run_shards_supervised`), and :meth:`_apply`
+    then records the samples, touch markers, failures and dead letters
+    into the monitor in input order, installing fresh ledger proofs as
+    it goes.
 
     The executor owns a persistent content-addressed
     :class:`ExtractionCache` it threads into every sweep, so week over
@@ -176,42 +194,41 @@ class ProcessExecutor(SweepExecutor):
         self, monitor: WeeklyMonitor, result: ShardResult, at: datetime
     ) -> SweepReport:
         """Record one shard's results into the monitor, in input order."""
-        ledger = (
-            monitor.touch_ledger
-            if monitor.incremental and monitor.journal is not None
-            else None
-        )
+        ledger = monitor.touch_ledger if monitor.journal is not None else None
+        store = monitor.store
+        feed = monitor.client.resolver.passive_dns
         report = SweepReport()
         for entry in result.sampled:
             if isinstance(entry, SnapshotFeatures):
-                is_new, previous = monitor.store.record(entry)
+                is_new, previous = store.record(entry)
                 if is_new:
                     report.changed.append((entry, previous))
                 if ledger is not None:
-                    # A full sample supersedes any ledger proof: the
-                    # name was dirty (or unproven), so the old entry
-                    # must not survive into the next sweep.
+                    # A full sample supersedes any ledger proof.
                     ledger.invalidate(entry.fqdn)
             else:
                 # Touch marker: the shard proved the state unchanged.
-                monitor.store.touch(entry, at)
+                store.touch(entry, at)
                 if ledger is not None:
                     fresh = result.ledger_entries.get(entry)
-                    if fresh is not None:
-                        ledger.put(entry, fresh)
+                    if ledger.confirm(entry, fresh):
+                        continue
+                    if fresh is None:
+                        ledger.invalidate(entry)
+                    else:
+                        ledger.put(entry, fresh, _standing_windows(store, feed, fresh))
         report.failures.extend(result.failures)
         report.quarantined.extend(result.quarantined)
         if ledger is not None:
             # A failed or dead-lettered name produced no trusted sample
-            # this sweep; any stale cleanliness proof must not carry it
-            # past the next one either.
+            # this sweep; any stale proof must not carry it further.
             for fqdn, _reason in result.failures + result.quarantined:
                 ledger.invalidate(fqdn)
             # The world is quiescent during a sweep, so the journal's
             # position now equals its position when the shard computed
             # its dirty set: every surviving entry's dependencies are
             # unchanged as of this cursor.
-            ledger.cursor = monitor.journal.cursor()
+            monitor.ledger_unsound += ledger.finish_sweep(monitor.journal.cursor())
         report.cpu_seconds = result.cpu_seconds
         if OBS.enabled:
             OBS.series.record_shard(

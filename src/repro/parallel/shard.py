@@ -1,7 +1,7 @@
 """Shard-local sweep execution.
 
 A *shard* is one weekly sweep's monitored-FQDN list, sampled start to
-finish inline.  :func:`run_shard` is pure with respect to the snapshot
+finish inline.  :func:`run_shard` records no sample into the snapshot
 store: samples come back as data in input order and the executor
 records them into the store afterwards, so the store, the
 changed-pairs list and the quarantine list all see the exact sequence
@@ -14,6 +14,11 @@ the sitemap fetched by reusing the index resolution instead of
 re-resolving.  The fused path replicates ``WeeklyMonitor.sample``
 semantics exactly — including recording non-5xx sitemap responses of
 any status — so its features are byte-identical to the generic path's.
+
+A monitor with a revision journal takes the fused path through its
+:class:`~repro.core.monitoring.TouchLedger`: names whose proof stands
+are extended in bulk, with no per-name call, and only the dirty, the
+unproven and one soundness slice of the standing names are sampled.
 
 A name whose sample raises is a *dead letter*: the shard records it as
 ``(fqdn, "ExcType: message")`` and moves on to the next name.  The
@@ -35,7 +40,6 @@ from repro.core.monitoring import (
     ExtractionCache,
     SnapshotFeatures,
     TouchEntry,
-    TouchLedger,
     TRANSIENT_SAMPLE_STATUSES,
     WeeklyMonitor,
 )
@@ -56,26 +60,6 @@ _TIMEOUT_VALUE = FetchStatus.TIMEOUT.value
 _DNS_ERROR_VALUE = FetchStatus.DNS_ERROR.value
 _CONNECTION_FAILED_VALUE = FetchStatus.CONNECTION_FAILED.value
 _HTTP_ERROR_VALUE = FetchStatus.HTTP_ERROR.value
-
-#: Body → truncated sha256 memo.  Sites store page bodies as strings
-#: and hand back the *same* object until the content changes, so the
-#: steady-state lookup is an identity hit; a changed body is a new
-#: string and misses.  sha256 is a pure function of the text, so even
-#: an equal-but-distinct string mapping to the cached digest is
-#: correct.  Bounded: cleared wholesale when it outgrows the cap.
-_HASH_MEMO: Dict[str, str] = {}
-_HASH_MEMO_MAX = 4096
-
-
-def _body_hash(body: str) -> str:
-    cached = _HASH_MEMO.get(body)
-    if cached is None:
-        if len(_HASH_MEMO) >= _HASH_MEMO_MAX:
-            _HASH_MEMO.clear()
-        cached = hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
-        _HASH_MEMO[body] = cached
-    return cached
-
 
 def _ledger_entry(
     resolver: Resolver, fqdn: Name, ip: str, host, previous: SnapshotFeatures
@@ -123,38 +107,6 @@ def _ledger_entry(
     )
 
 
-def _touch_clean(
-    monitor, resolver, ledger: TouchLedger, changed, fqdn: Name, at: datetime
-) -> bool:
-    """Extend a clean name's window from its ledger proof.
-
-    True means the name is provably unchanged: it holds a ledger entry,
-    none of the entry's journal dependencies moved since the ledger's
-    cursor, and the stored state the entry extends is still current.
-    The only side effects are the passive-DNS observations the skipped
-    resolution would have produced, replayed by value, plus the sample
-    counter.
-    """
-    entry = ledger.get(fqdn)
-    if entry is None:
-        return False
-    if changed and not changed.isdisjoint(entry.deps):
-        if OBS.enabled:
-            OBS.metrics.inc("journal.dirty")
-        return False
-    latest = monitor.store.latest(fqdn)
-    if latest is None or latest.state_key() != entry.state_key:
-        if OBS.enabled:
-            OBS.metrics.inc("journal.dirty")
-        return False
-    feed = resolver.passive_dns
-    if feed is not None:
-        for record in entry.observed:
-            feed.observe(record, at)
-    monitor.samples_taken += 1
-    return True
-
-
 @dataclass
 class ShardResult:
     """Everything one shard's sweep produced, as data for the executor."""
@@ -173,7 +125,7 @@ class ShardResult:
     #: sample raised, in input order.  Such a name produced no sample.
     quarantined: List[Tuple[Name, str]] = field(default_factory=list)
     #: Fresh :class:`TouchEntry` proofs minted by this shard's touch
-    #: markers (incremental mode only); the executor installs them into
+    #: markers (ledger sweeps only); the executor installs them into
     #: the monitor's ledger as it records the markers.
     ledger_entries: Dict[Name, TouchEntry] = field(default_factory=dict)
     wall_seconds: float = 0.0
@@ -207,11 +159,16 @@ def run_shard(
     at: datetime,
     cache: Optional[ExtractionCache],
 ) -> ShardResult:
-    """Sample one shard and return its results as data.
+    """Sweep one shard and return its samples as data.
 
     Never records into the snapshot store; the passive-DNS feed and the
     extraction cache are written directly.  A name whose sample raises
     becomes a dead letter in ``quarantined`` and the loop goes on.
+
+    On the fused path a monitor with a journal sweeps through its
+    :class:`TouchLedger`: standing names are extended in bulk and only
+    the rest — dirty, unproven, and this sweep's soundness slice — are
+    sampled, in ``fqdns`` order.
     """
     resolver = monitor.client.resolver
     started = time.perf_counter()
@@ -227,24 +184,31 @@ def run_shard(
             OBS.metrics.inc(
                 "sweep.shards.fused" if fused else "sweep.shards.generic"
             )
-        ledger: Optional[TouchLedger] = None
-        changed = None
+        ledger = monitor.touch_ledger if monitor.journal is not None else None
         ledger_out: Optional[Dict[Name, TouchEntry]] = None
+        names = fqdns
         if fused:
             # Part of the fast path: version-validated resolution
             # memoization, switched on for the run's resolver.  Every
             # hit is revalidated against the zone versions and replays
             # identical passive-DNS observations.
             resolver.enable_memo()
-            if monitor.incremental and monitor.journal is not None:
-                # The sweep's dirty set: every journal subject that
-                # moved since the ledger's cursor.  The world is
-                # quiescent during a sweep, so the set holds for every
-                # name — and is empty in the steady state, making the
-                # per-name check one dict get plus a guard.
-                ledger = monitor.touch_ledger
-                changed = monitor.journal.changed_since(ledger.cursor)
+            if ledger is not None:
+                # The world is quiescent during a sweep, so the
+                # subjects that moved since the ledger's cursor hold
+                # for every name.
+                names, clean = ledger.begin_sweep(
+                    fqdns, monitor.journal.changed_since(ledger.cursor), at
+                )
+                monitor.samples_taken += clean
+                if obs_on and clean:
+                    OBS.metrics.inc("monitor.samples", clean)
+                    OBS.metrics.inc("journal.clean_skips", clean)
                 ledger_out = result.ledger_entries
+        elif ledger is not None:
+            # The generic sampler re-samples every name, so no window
+            # may stand through this sweep.
+            ledger.clear()
         headers = {"User-Agent": monitor.config.user_agent}
         # ``seq=0`` pins the span's path id (and its trace lane) to
         # shard 0, whatever else the sweep stage opened first.
@@ -252,17 +216,9 @@ def run_shard(
             "sweep.shard", sim=at, seq=0, shard=0, size=len(fqdns),
             mode="fused" if fused else "generic",
         ):
-            for fqdn in fqdns:
+            for fqdn in names:
                 try:
                     if fused:
-                        if ledger is not None and _touch_clean(
-                            monitor, resolver, ledger, changed, fqdn, at
-                        ):
-                            if obs_on:
-                                OBS.metrics.inc("monitor.samples")
-                                OBS.metrics.inc("journal.clean_skips")
-                            result.sampled.append(fqdn)
-                            continue
                         features = _sample_fused(monitor, fqdn, at, headers, ledger_out)
                         if not isinstance(features, SnapshotFeatures):
                             # Touch marker: the state is unchanged, ship
@@ -321,7 +277,7 @@ def _sample_fused(
     construction entirely; the store just extends the current state's
     observation window.
 
-    In incremental mode (``ledger_out`` given) every touch marker also
+    On a ledger sweep (``ledger_out`` given) every touch marker also
     mints a :class:`TouchEntry` proof into ``ledger_out`` so future
     sweeps can skip the name outright while its journal dependencies
     stay put.
@@ -376,7 +332,11 @@ def _sample_fused(
             addresses=addresses,
         )
     body = response.body
-    body_hash = _body_hash(body)
+    cache = monitor.extraction_cache
+    body_hash = (
+        cache.body_hash(body) if cache is not None
+        else hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
+    )
     previous = monitor.store.latest(fqdn)
     if (
         previous is not None
@@ -405,7 +365,6 @@ def _sample_fused(
             scheme="http",
         )
     else:
-        cache = monitor.extraction_cache
         fields = cache.html.get(body_hash) if cache is not None else None
         if fields is not None:
             cache.hits += 1

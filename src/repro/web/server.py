@@ -62,7 +62,7 @@ class VirtualHostServer:
         self.provider_name = provider_name
         #: Optional :class:`repro.sim.revisions.RevisionJournal`; when
         #: set, (un)routing a hostname bumps ``("web", hostname)`` so
-        #: incremental sweeps notice edge routing changes.
+        #: ledger sweeps notice edge routing changes.
         self.journal = journal
         #: The address this server is bound at, set by whoever binds it.
         self.ip: Optional[str] = None

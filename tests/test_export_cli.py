@@ -110,9 +110,11 @@ def test_cli_rejects_out_of_range_numbers_when_parsing(argv, bound, capsys):
 @pytest.mark.parametrize("flag", [
     ["run", "--workers", "2"], ["run", "--worker-faults"],
     ["run", "--shard-deadline", "5"], ["report", "--analysis-workers", "2"],
+    ["run", "--incremental"], ["report", "--incremental"],
 ])
 def test_cli_rejects_removed_fork_flags(flag, capsys):
-    """Nothing forks: the fork-only flags are unknown (exit 2)."""
+    """Nothing forks and every sweep uses the touch ledger: the removed
+    fork and sweep-mode flags are unknown (exit 2)."""
     command, *removed = flag
     with pytest.raises(SystemExit) as exited:
         main([command, "--scale", "tiny", *removed], out=io.StringIO())

@@ -11,7 +11,7 @@ from datetime import datetime, timedelta
 import pytest
 
 from repro.core.export import dataset_to_json
-from repro.core.monitoring import SnapshotFeatures, WeeklyMonitor
+from repro.core.monitoring import ExtractionCache, SnapshotFeatures, WeeklyMonitor
 from repro.core.scenario import ScenarioConfig, build_scenario
 from repro.core.stages import MonitorSweepStage
 from repro.dns.records import RRType, ResourceRecord
@@ -194,6 +194,21 @@ def test_extraction_cache_persists_across_sweeps():
     executor.sweep(monitor, fqdns, T0 + WEEK)
     # Steady state: nothing new to extract.
     assert executor.extraction_cache.misses == misses_after_first
+
+
+def test_body_hash_memo_is_run_owned_and_bounded():
+    assert not hasattr(shard_module, "_HASH_MEMO")
+    first = build_scenario(ScenarioConfig.tiny())
+    first.run(max_weeks=2)
+    assert first.payload.executor.extraction_cache.body_hashes
+    # A second run in the same process starts with an empty memo.
+    second = build_scenario(ScenarioConfig.tiny())
+    assert second.payload.executor.extraction_cache.body_hashes == {}
+    cache = ExtractionCache()
+    cache.BODY_HASH_MAX = 2
+    digests = [cache.body_hash(body) for body in ("a", "b", "c")]
+    assert cache.body_hashes == {"c": digests[2]}  # cleared when full
+    assert digests[0] == ExtractionCache().body_hash("a")
 
 
 def test_each_sweep_dispatches_one_inline_shard(monkeypatch):

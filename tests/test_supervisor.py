@@ -36,7 +36,11 @@ def test_poison_quarantine_survives_executor_and_stage(monkeypatch):
     engine = build_scenario(config)
     engine.run(max_weeks=2)
     result = engine.payload
-    poison = result.collector.monitored_sorted[3]
+    # Only a name the touch ledger does not stand for is sampled.
+    poison = next(
+        fqdn for fqdn in result.collector.monitored_sorted
+        if result.monitor.touch_ledger.get(fqdn) is None
+    )
     real_sample = shard_module._sample_fused
 
     def sample(monitor, fqdn, *args):

@@ -6,8 +6,8 @@ parenting, the tracer's context-manager close-on-error contract, the
 metric-key label escaping and per-series histogram bounds fixes, the
 week-series delta math, and the two cross-run contracts: same-seed
 sim projections (ids included) byte-identical across executors and
-incremental modes, and the Chrome trace-event export loading as valid,
-monotonic trace JSON.
+between ledger and full sweeps, and the Chrome trace-event export
+loading as valid, monotonic trace JSON.
 """
 
 import json
@@ -210,11 +210,13 @@ def test_stage_rows_accumulate_and_shard_rss_takes_the_max():
 # -- cross-executor projection parity --------------------------------------
 
 
-def _traced_scenario(weeks=4, incremental=False, serial=False):
+def _traced_scenario(weeks=4, full=False, serial=False):
     config = ScenarioConfig.tiny()
     config.weeks = weeks
-    config.incremental = incremental
     engine = build_scenario(config)
+    if full:
+        # A monitor without a journal sweeps every name in full.
+        engine.payload.monitor.journal = None
     if serial:
         stage = next(s for s in engine.stages if s.name == "monitor-sweep")
         stage._executor = engine.payload.executor = SerialExecutor()
@@ -241,10 +243,10 @@ def test_same_config_rerun_is_identical_including_ids():
 
 def test_parity_projection_is_topology_invariant():
     serial = _traced_scenario(serial=True)
+    full = _traced_scenario(full=True)
     inline = _traced_scenario()
-    incremental = _traced_scenario(incremental=True)
-    assert parity_projection(serial) == parity_projection(inline)
-    assert parity_projection(inline) == parity_projection(incremental)
+    assert parity_projection(serial) == parity_projection(full)
+    assert parity_projection(full) == parity_projection(inline)
     # The full projections legitimately differ (the serial oracle opens
     # no shard span) — that's exactly what parity_projection factors
     # out.
@@ -303,6 +305,24 @@ def test_chrome_export_maps_shards_to_their_own_lanes():
     }
     assert thread_names[(1, 10)] == "shard 0"
     assert thread_names[(1, 1)] == "pipeline"
+
+
+def test_chrome_export_puts_analyses_in_the_report_phase():
+    events = [
+        {"type": "span", "name": "stage.world", "id": "stage.world#0",
+         "wall": 1.0, "dur_ms": 5.0},
+        {"type": "span", "name": "analysis.seo", "id": "analysis.seo#0",
+         "wall": 2.0, "dur_ms": 3.0},
+    ]
+    doc = chrome_trace(events)
+    process_names = {
+        entry["pid"]: entry["args"]["name"]
+        for entry in doc["traceEvents"]
+        if entry["ph"] == "M" and entry["name"] == "process_name"
+    }
+    assert process_names == {1: "repro pipeline", 2: "report phase"}
+    (seo,) = [e for e in doc["traceEvents"] if e["name"] == "analysis.seo"]
+    assert (seo["pid"], seo["tid"]) == (2, 1)
 
 
 def test_chrome_export_of_an_empty_trace_is_well_formed():
