@@ -32,7 +32,7 @@ with sim-clock *and* wall-clock timestamps per event, or
 trace-event JSON with shard and analysis lanes),
 ``--trace-sample N`` keeps every Nth span per span name, and
 ``--metrics-json PATH`` exports the week-by-week counter deltas plus
-per-stage/per-shard resource accounting as JSON.  With none of them
+per-stage resource accounting as JSON.  With none of them
 given the observability layer stays null-object disabled and adds zero
 cost.
 
@@ -183,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               "trace (default 1 = keep all)")
         cmd.add_argument("--metrics-json", metavar="PATH", default=None,
                          help="export week-by-week counter deltas and "
-                              "per-stage/per-shard resource accounting "
+                              "per-stage resource accounting "
                               "as JSON to PATH (atomic write)")
         if name == "run":
             cmd.add_argument("--export", metavar="PATH", default=None,

@@ -1,7 +1,7 @@
 """Weekly monitoring: sampling and snapshot storage (Section 3.2).
 
 For each monitored FQDN the monitor takes a weekly sample: resolve,
-fetch the index HTML over HTTP/S, and — only when needed to judge a
+fetch the index HTML over HTTP, and — only when needed to judge a
 change, per the paper's two-requests-per-FQDN ethics bound — fetch the
 sitemap.  Samples are reduced to :class:`SnapshotFeatures` (hashes,
 sizes, language, keywords, external references) and deduplicated into
@@ -31,7 +31,7 @@ from repro.dns.names import Name
 from repro.faults.retry import RetryPolicy
 from repro.obs import OBS
 from repro.sim.windows import SweepWindow
-from repro.web.client import FetchOutcome, FetchStatus, HttpClient
+from repro.web.client import FetchStatus, HttpClient
 from repro.web.html import parse_html
 from repro.web.sitemap import sitemap_summary
 
@@ -62,11 +62,6 @@ class MonitorConfig:
     external_url_cap: int = 64
     #: Cap on stored sitemap sample URLs.
     sitemap_sample_cap: int = 10
-    #: Try HTTPS first, falling back to HTTP when the TLS handshake
-    #: fails (no/invalid certificate).  The scheme actually used is
-    #: recorded on the snapshot.  The fallback pair counts as one
-    #: logical index probe against the ethics bound.
-    prefer_https: bool = False
     #: Retry budget for the monitor's own fetches (index + sitemap).
     #: The default (one attempt, no retries) is the pre-resilience
     #: behaviour; chaos runs raise it to ride out transient faults.
@@ -108,10 +103,6 @@ class SnapshotFeatures:
     #: Fetch attempts the index sample took (1 = first try; excluded
     #: from :meth:`state_key` so retries never fabricate new states).
     attempts: int = 1
-    #: Scheme the index fetch actually used ("http"/"https").  Like
-    #: ``attempts`` this describes *how* the sample was taken, not what
-    #: was observed, so it is excluded from :meth:`state_key`.
-    scheme: str = "http"
 
     @property
     def reachable(self) -> bool:
@@ -558,7 +549,10 @@ class WeeklyMonitor:
         if OBS.enabled:
             OBS.metrics.inc("monitor.samples")
         headers = {"User-Agent": self.config.user_agent}
-        outcome, scheme = self._fetch_index(fqdn, at, headers)
+        outcome = self._client.fetch(
+            fqdn, path="/", scheme="http", at=at, headers=headers,
+            retry=self.config.retry,
+        )
         resolution = outcome.resolution
         features = SnapshotFeatures(
             fqdn=fqdn,
@@ -568,7 +562,6 @@ class WeeklyMonitor:
             addresses=tuple(resolution.addresses) if resolution else (),
             fetch_status=outcome.status.value,
             attempts=outcome.attempts,
-            scheme=scheme,
         )
         if not outcome.ok:
             if outcome.response is not None:
@@ -590,7 +583,6 @@ class WeeklyMonitor:
                 addresses=features.addresses,
                 fetch_status=features.fetch_status,
                 attempts=features.attempts,
-                scheme=features.scheme,
             )
         else:
             features = self._with_html_features(
@@ -600,7 +592,7 @@ class WeeklyMonitor:
         # the page is up — the paper's "if we cannot establish an abuse
         # with confidence" follow-up, bounded to 2 requests per FQDN.
         if previous is None or previous.html_hash != features.html_hash or previous.sitemap_count < 0:
-            features = self._with_sitemap_features(features, fqdn, at, headers, scheme)
+            features = self._with_sitemap_features(features, fqdn, at, headers)
         else:
             features = replace(
                 features,
@@ -609,29 +601,6 @@ class WeeklyMonitor:
                 sitemap_sample=previous.sitemap_sample,
             )
         return features
-
-    def _fetch_index(
-        self, fqdn: Name, at: datetime, headers: Dict[str, str]
-    ) -> Tuple[FetchOutcome, str]:
-        """The index fetch, with scheme selection.
-
-        With ``prefer_https`` the HTTPS attempt comes first; a TLS
-        failure (no or invalid certificate) falls back to plain HTTP —
-        any other HTTPS outcome, success or failure, is authoritative.
-        Returns the outcome and the scheme it was fetched over.
-        """
-        if self.config.prefer_https:
-            outcome = self._client.fetch(
-                fqdn, path="/", scheme="https", at=at, headers=headers,
-                retry=self.config.retry,
-            )
-            if outcome.status != FetchStatus.TLS_ERROR:
-                return outcome, "https"
-        outcome = self._client.fetch(
-            fqdn, path="/", scheme="http", at=at, headers=headers,
-            retry=self.config.retry,
-        )
-        return outcome, "http"
 
     # -- feature builders ------------------------------------------------------------
 
@@ -692,11 +661,10 @@ class WeeklyMonitor:
         fqdn: Name,
         at: datetime,
         headers: Dict[str, str],
-        scheme: str = "http",
     ) -> SnapshotFeatures:
         self.sitemap_fetches += 1
         outcome = self._client.fetch(
-            fqdn, path="/sitemap.xml", scheme=scheme, at=at, headers=headers,
+            fqdn, path="/sitemap.xml", scheme="http", at=at, headers=headers,
             retry=self.config.retry,
         )
         if not outcome.ok:

@@ -129,7 +129,7 @@ def _sweep_table(result, metrics) -> str:
     report = getattr(executor, "last_report", None)
     if report is not None:
         rows.append(("last sweep wall s (elapsed)", f"{report.wall_seconds:.3f}"))
-        rows.append(("last sweep sampling cpu s", f"{report.cpu_seconds:.3f}"))
+        rows.append(("last sweep cpu s (sample + record)", f"{report.cpu_seconds:.3f}"))
         rows.append(("last sweep mode", report.mode))
     return render_table(
         ["metric", "value"], rows, title="\nSweep path and detector"
@@ -179,10 +179,9 @@ def _trend_table(series) -> str:
 
 
 def _resource_table(series) -> str:
-    """Where the CPU went: per-stage and per-shard resource rows."""
+    """Where the CPU went: per-stage resource rows."""
     stages = series.stage_rows()
-    shards = series.shard_rows()
-    if not stages and not shards:
+    if not stages:
         return ""
     rows: List[Tuple[object, ...]] = []
     for name, row in sorted(
@@ -194,21 +193,10 @@ def _resource_table(series) -> str:
                 int(row["calls"]),
                 f"{row['cpu_s']:.3f}",
                 f"{row['wall_s']:.3f}",
-                "-",
-            )
-        )
-    for index, row in shards.items():
-        rows.append(
-            (
-                f"shard {index} ({int(row['items'])} items)",
-                int(row["runs"]),
-                f"{row['cpu_s']:.3f}",
-                f"{row['wall_s']:.3f}",
-                int(row["peak_rss_kb"]) or "-",
             )
         )
     return render_table(
-        ["stage / shard", "calls", "cpu s", "wall s", "peak rss KiB"],
+        ["stage", "calls", "cpu s", "wall s"],
         rows,
         title="\nResource accounting (wall-class: varies run to run)",
     )

@@ -1,4 +1,4 @@
-"""Week-boundary metric series and per-stage/per-shard resource accounting.
+"""Week-boundary metric series and per-stage resource accounting.
 
 The pipeline's unit of simulated time is the week: every
 :meth:`~repro.pipeline.engine.PipelineEngine.step` runs the stage list
@@ -22,10 +22,9 @@ Two kinds of data live here and must never be conflated:
   :func:`deterministic_view` strips them, mirroring ``WALL_FIELDS`` in
   the trace layer.
 
-Per-stage and per-shard resource rows accumulate across the run (sum of
-cpu/wall, max of rss) keyed by stage name or shard index, giving the
-``profile`` report its "where did the time go" tables without touching
-the deterministic stream.
+Per-stage resource rows accumulate across the run (sums of cpu and
+wall) keyed by stage name, giving the ``profile`` report its "where
+did the time go" table without touching the deterministic stream.
 """
 
 from __future__ import annotations
@@ -73,9 +72,9 @@ def peak_rss_kb() -> int:
 
 
 class TimeSeriesRecorder:
-    """Collects week-delta series plus stage/shard resource rows."""
+    """Collects week-delta series plus per-stage resource rows."""
 
-    __slots__ = ("_weeks", "_last_counters", "_stages", "_shards")
+    __slots__ = ("_weeks", "_last_counters", "_stages")
 
     def __init__(self) -> None:
         #: One entry per completed week, in week order.
@@ -84,8 +83,6 @@ class TimeSeriesRecorder:
         self._last_counters: Dict[str, int] = {}
         #: stage name -> {"calls", "cpu_s", "wall_s"} accumulated rows.
         self._stages: Dict[str, Dict[str, float]] = {}
-        #: shard index -> {"runs", "items", "cpu_s", "wall_s", "peak_rss_kb"}.
-        self._shards: Dict[int, Dict[str, float]] = {}
 
     # -- week series -------------------------------------------------------
 
@@ -120,22 +117,6 @@ class TimeSeriesRecorder:
         row["cpu_s"] += cpu_s
         row["wall_s"] += wall_s
 
-    def record_shard(
-        self, index: int, items: int, cpu_s: float, wall_s: float,
-        peak_rss_kb: int = 0,
-    ) -> None:
-        row = self._shards.get(index)
-        if row is None:
-            row = {"runs": 0, "items": 0, "cpu_s": 0.0, "wall_s": 0.0,
-                   "peak_rss_kb": 0}
-            self._shards[index] = row
-        row["runs"] += 1
-        row["items"] += items
-        row["cpu_s"] += cpu_s
-        row["wall_s"] += wall_s
-        if peak_rss_kb > row["peak_rss_kb"]:
-            row["peak_rss_kb"] = peak_rss_kb
-
     # -- reading -----------------------------------------------------------
 
     def weeks(self) -> List[Dict]:
@@ -144,11 +125,8 @@ class TimeSeriesRecorder:
     def stage_rows(self) -> Dict[str, Dict[str, float]]:
         return {name: dict(self._stages[name]) for name in sorted(self._stages)}
 
-    def shard_rows(self) -> Dict[int, Dict[str, float]]:
-        return {index: dict(self._shards[index]) for index in sorted(self._shards)}
-
     def is_empty(self) -> bool:
-        return not (self._weeks or self._stages or self._shards)
+        return not (self._weeks or self._stages)
 
     # -- export ------------------------------------------------------------
 
@@ -177,16 +155,6 @@ class TimeSeriesRecorder:
                     "wall_s": round(row["wall_s"], 4),
                 }
                 for name, row in self.stage_rows().items()
-            },
-            "shards": {
-                str(index): {
-                    "runs": int(row["runs"]),
-                    "items": int(row["items"]),
-                    "cpu_s": round(row["cpu_s"], 4),
-                    "wall_s": round(row["wall_s"], 4),
-                    "peak_rss_kb": int(row["peak_rss_kb"]),
-                }
-                for index, row in self.shard_rows().items()
             },
         }
         return doc
@@ -228,19 +196,10 @@ class NullSeries:
     def record_stage(self, name: str, cpu_s: float, wall_s: float) -> None:
         pass
 
-    def record_shard(
-        self, index: int, items: int, cpu_s: float, wall_s: float,
-        peak_rss_kb: int = 0,
-    ) -> None:
-        pass
-
     def weeks(self) -> List[Dict]:
         return []
 
     def stage_rows(self) -> Dict[str, Dict[str, float]]:
-        return {}
-
-    def shard_rows(self) -> Dict[int, Dict[str, float]]:
         return {}
 
     def is_empty(self) -> bool:
@@ -248,7 +207,7 @@ class NullSeries:
 
     def export(self, metrics, run: Optional[Dict] = None) -> Dict:
         return {"schema": METRICS_SCHEMA, "weeks": [], "counters": {},
-                "resources": {"process": {}, "stages": {}, "shards": {}}}
+                "resources": {"process": {}, "stages": {}}}
 
 
 #: The shared disabled-mode recorder (stateless, safe to share).

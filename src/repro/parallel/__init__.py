@@ -2,24 +2,22 @@
 
 The monitored-FQDN list is the pipeline's unit of scale (Section 3.2
 monitors millions of names weekly).  Each weekly sweep samples that
-list as one inline shard and records the results in input order, so a
-sweep of a fault-free world is byte-identical to a plain serial loop.
-Nothing in the program forks.
+list as one inline shard and records each name as it samples it, in
+input order, so a sweep of a fault-free world is byte-identical to a
+plain serial loop.  Nothing in the program forks.
 """
 
 from repro.parallel.executor import (
     ProcessExecutor,
     SerialExecutor,
     SweepExecutor,
-    SweepReport,
 )
-from repro.parallel.shard import ShardResult, fast_path_eligible
+from repro.parallel.shard import SweepReport, fast_path_eligible
 
 __all__ = [
     "ProcessExecutor",
     "SerialExecutor",
     "SweepExecutor",
     "SweepReport",
-    "ShardResult",
     "fast_path_eligible",
 ]

@@ -1,19 +1,21 @@
 """Shard-local sweep execution.
 
 A *shard* is one weekly sweep's monitored-FQDN list, sampled start to
-finish inline.  :func:`run_shard` records no sample into the snapshot
-store: samples come back as data in input order and the executor
-records them into the store afterwards, so the store, the
-changed-pairs list and the quarantine list all see the exact sequence
-a plain serial loop over ``WeeklyMonitor.sample`` would have produced.
+finish inline.  :func:`run_shard` records each name into the monitor
+right after sampling it, before it samples the next — the snapshot
+store's ``record`` or ``touch``, the touch ledger's proof, a failure or
+a dead letter — and returns the week's :class:`SweepReport`.  So the
+store, the changed-pairs list and the quarantine list see the exact
+sequence a plain serial loop over ``WeeklyMonitor.sample`` produces,
+repeated names included.
 
 When the world is healthy (no fault plan drawing, no breaker, no retry
-budget, plain HTTP) a shard takes the *fused* sampling path: one
-resolution per FQDN, the index served directly off the routed host, and
-the sitemap fetched by reusing the index resolution instead of
-re-resolving.  The fused path replicates ``WeeklyMonitor.sample``
-semantics exactly — including recording non-5xx sitemap responses of
-any status — so its features are byte-identical to the generic path's.
+budget) a shard takes the *fused* sampling path: one resolution per
+FQDN, the index served directly off the routed host, and the sitemap
+fetched by reusing the index resolution instead of re-resolving.  The
+fused path replicates ``WeeklyMonitor.sample`` semantics exactly —
+including recording non-5xx sitemap responses of any status — so its
+features are byte-identical to the generic path's.
 
 A monitor with a revision journal takes the fused path through its
 :class:`~repro.core.monitoring.TouchLedger`: names whose proof stands
@@ -39,6 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.monitoring import (
     ExtractionCache,
     SnapshotFeatures,
+    SnapshotStore,
     TouchEntry,
     TRANSIENT_SAMPLE_STATUSES,
     WeeklyMonitor,
@@ -47,8 +50,9 @@ from repro.dns.names import Name
 from repro.dns.records import RRType
 from repro.dns.resolver import ResolutionStatus, Resolver
 from repro.dns.zone import ZONE_SET_KEY
-from repro.obs import OBS, cpu_seconds_now, peak_rss_kb
-from repro.web.client import FetchStatus
+from repro.obs import OBS, cpu_seconds_now
+from repro.sim.windows import SweepWindow
+from repro.web.client import FetchStatus, HttpClient
 from repro.web.http import HttpRequest
 
 
@@ -61,10 +65,39 @@ _DNS_ERROR_VALUE = FetchStatus.DNS_ERROR.value
 _CONNECTION_FAILED_VALUE = FetchStatus.CONNECTION_FAILED.value
 _HTTP_ERROR_VALUE = FetchStatus.HTTP_ERROR.value
 
+ChangedPair = Tuple[SnapshotFeatures, Optional[SnapshotFeatures]]
+
+
+@dataclass
+class SweepReport:
+    """One sweep's outcome: what changed, what failed, and its timing.
+
+    ``changed``, ``failures`` and ``quarantined`` are in input order.
+    Counters are not repeated here: they live on the monitor, its
+    client and the extraction cache.
+    """
+
+    changed: List[ChangedPair] = field(default_factory=list)
+    failures: List[Tuple[Name, str]] = field(default_factory=list)
+    #: Dead letters: names whose sample raised this sweep, as
+    #: (fqdn, "ExcType: message") pairs.  Distinct from ``failures``
+    #: (retry-exhausted *samples*): a quarantined name produced no
+    #: sample at all.
+    quarantined: List[Tuple[Name, str]] = field(default_factory=list)
+    #: "serial" (the oracle) or "inline" (one inline shard).
+    mode: str = "serial"
+    #: Elapsed time of the whole sweep.
+    wall_seconds: float = 0.0
+    #: CPU seconds the shard burned sampling and recording its names
+    #: (the serial oracle reports its elapsed time: cpu = wall).
+    cpu_seconds: float = 0.0
+
+
 def _ledger_entry(
-    resolver: Resolver, fqdn: Name, ip: str, host, previous: SnapshotFeatures
+    client: HttpClient, fqdn: Name, previous: SnapshotFeatures
 ) -> Optional[TouchEntry]:
-    """Build the :class:`TouchEntry` proving this touch outcome.
+    """The :class:`TouchEntry` proving that ``fqdn``'s touch just now
+    re-observed ``previous``.
 
     Captures every revision-journal subject the sample's outcome
     depends on: the DNS names the resolution walked (exact and wildcard
@@ -74,7 +107,8 @@ def _ledger_entry(
     state provably equals ``previous.state_key()``.  Entries are plain
     data, so they checkpoint with the monitor.
     """
-    site_for = getattr(host, "site_for", None)
+    ip = previous.addresses[0]
+    site_for = getattr(client.network.host_at(ip), "site_for", None)
     if site_for is None:
         return None
     site = site_for(fqdn)
@@ -83,7 +117,7 @@ def _ledger_entry(
         # Unadopted content (no provider bound it to the journal) has
         # no change signal; it must keep taking the full sample.
         return None
-    res_entry = resolver.memo_entry(fqdn, RRType.A)
+    res_entry = client.resolver.memo_entry(fqdn, RRType.A)
     if res_entry is None:
         return None
     deps = [("dns", ZONE_SET_KEY)]
@@ -107,47 +141,29 @@ def _ledger_entry(
     )
 
 
-@dataclass
-class ShardResult:
-    """Everything one shard's sweep produced, as data for the executor."""
-
-    size: int
-    #: Store-eligible samples in input order (transient finals
-    #: excluded).  An entry is either a full :class:`SnapshotFeatures`
-    #: or a bare FQDN — a *touch marker* meaning the observed state
-    #: provably equals the latest stored one, so the executor just
-    #: bumps that state's observation window (``SnapshotStore.touch``)
-    #: the way ``record`` would have deduplicated the full sample.
-    sampled: List[Union[SnapshotFeatures, Name]] = field(default_factory=list)
-    #: Retry-exhausted (fqdn, fetch_status) pairs, in input order.
-    failures: List[Tuple[Name, str]] = field(default_factory=list)
-    #: Dead letters: (fqdn, "ExcType: message") for every name whose
-    #: sample raised, in input order.  Such a name produced no sample.
-    quarantined: List[Tuple[Name, str]] = field(default_factory=list)
-    #: Fresh :class:`TouchEntry` proofs minted by this shard's touch
-    #: markers (ledger sweeps only); the executor installs them into
-    #: the monitor's ledger as it records the markers.
-    ledger_entries: Dict[Name, TouchEntry] = field(default_factory=dict)
-    wall_seconds: float = 0.0
-    #: CPU seconds burned sampling this shard (wall-class: feeds the
-    #: resource accounting, excluded from determinism diffs).
-    cpu_seconds: float = 0.0
-    #: Peak RSS of the process in KiB (max-merged, never summed).
-    peak_rss_kb: int = 0
+def _standing_windows(
+    store: SnapshotStore, feed, entry: TouchEntry
+) -> Tuple[SweepWindow, ...]:
+    """The windows a standing ``entry`` extends each sweep: its name's
+    current snapshot state and, when resolutions feed passive DNS, the
+    sighting of every record its resolution observes."""
+    windows: List[SweepWindow] = [store.history(entry.fqdn)[-1]]
+    if feed is not None:
+        windows.extend(feed.observation_for(record) for record in entry.observed)
+    return tuple(windows)
 
 
 def fast_path_eligible(monitor: WeeklyMonitor) -> bool:
     """Whether the fused sampling loop is behaviour-equivalent here.
 
-    The fused loop skips the client's fault/breaker/retry/TLS machinery,
-    so it is only taken when none of that machinery can fire: no active
-    fault classes, no breaker, single-attempt retry policy, plain HTTP.
+    The fused loop skips the client's fault/breaker/retry machinery, so
+    it is only taken when none of that machinery can fire: no active
+    fault classes, no breaker, single-attempt retry policy.
     """
     client = monitor.client
     plan = client.fault_plan
     return (
-        not monitor.config.prefer_https
-        and client.breaker is None
+        client.breaker is None
         and monitor.config.retry.max_attempts == 1
         and (plan is None or not plan.config.any_active)
     )
@@ -158,25 +174,32 @@ def run_shard(
     fqdns: Sequence[Name],
     at: datetime,
     cache: Optional[ExtractionCache],
-) -> ShardResult:
-    """Sweep one shard and return its samples as data.
+) -> SweepReport:
+    """Sweep one shard, recording each name before sampling the next.
 
-    Never records into the snapshot store; the passive-DNS feed and the
-    extraction cache are written directly.  A name whose sample raises
-    becomes a dead letter in ``quarantined`` and the loop goes on.
+    A full sample goes into the snapshot store with ``record``; a touch
+    marker re-observes the current state with ``touch``; a transient
+    final status becomes a failure and a raising sample a dead letter
+    in ``quarantined``, and the loop goes on.  The passive-DNS feed and
+    the extraction cache are written by the samplers themselves.
 
     On the fused path a monitor with a journal sweeps through its
     :class:`TouchLedger`: standing names are extended in bulk and only
     the rest — dirty, unproven, and this sweep's soundness slice — are
-    sampled, in ``fqdns`` order.
+    sampled, in ``fqdns`` order.  A full sample drops the name's proof;
+    a touch confirms the soundness check or installs the proof it
+    mints, windows and all.  Failed and dead-lettered names keep their
+    proofs until :meth:`ProcessExecutor._apply` closes the sweep.
     """
-    resolver = monitor.client.resolver
+    client = monitor.client
+    store = monitor.store
+    feed = client.resolver.passive_dns
     started = time.perf_counter()
     cpu0 = cpu_seconds_now()
     previous_cache = monitor.extraction_cache
     monitor.extraction_cache = cache
 
-    result = ShardResult(size=len(fqdns))
+    report = SweepReport()
     try:
         fused = fast_path_eligible(monitor)
         obs_on = OBS.enabled
@@ -184,16 +207,16 @@ def run_shard(
             OBS.metrics.inc(
                 "sweep.shards.fused" if fused else "sweep.shards.generic"
             )
-        ledger = monitor.touch_ledger if monitor.journal is not None else None
-        ledger_out: Optional[Dict[Name, TouchEntry]] = None
+        ledger = None
         names = fqdns
         if fused:
             # Part of the fast path: version-validated resolution
             # memoization, switched on for the run's resolver.  Every
             # hit is revalidated against the zone versions and replays
             # identical passive-DNS observations.
-            resolver.enable_memo()
-            if ledger is not None:
+            client.resolver.enable_memo()
+            if monitor.journal is not None:
+                ledger = monitor.touch_ledger
                 # The world is quiescent during a sweep, so the
                 # subjects that moved since the ledger's cursor hold
                 # for every name.
@@ -204,11 +227,10 @@ def run_shard(
                 if obs_on and clean:
                     OBS.metrics.inc("monitor.samples", clean)
                     OBS.metrics.inc("journal.clean_skips", clean)
-                ledger_out = result.ledger_entries
-        elif ledger is not None:
+        elif monitor.journal is not None:
             # The generic sampler re-samples every name, so no window
             # may stand through this sweep.
-            ledger.clear()
+            monitor.touch_ledger.clear()
         headers = {"User-Agent": monitor.config.user_agent}
         # ``seq=0`` pins the span's path id (and its trace lane) to
         # shard 0, whatever else the sweep stage opened first.
@@ -219,37 +241,47 @@ def run_shard(
             for fqdn in names:
                 try:
                     if fused:
-                        features = _sample_fused(monitor, fqdn, at, headers, ledger_out)
-                        if not isinstance(features, SnapshotFeatures):
-                            # Touch marker: the state is unchanged, ship
-                            # the name alone and let the executor bump
-                            # the window.
-                            if obs_on:
-                                OBS.metrics.inc("sweep.sample.touch")
-                            result.sampled.append(features)
-                            continue
-                        if obs_on:
-                            OBS.metrics.inc("sweep.sample.full")
+                        features = _sample_fused(monitor, fqdn, at, headers)
                     else:
                         features = monitor.sample(fqdn, at)
-                        if obs_on:
-                            OBS.metrics.inc("sweep.sample.generic")
                 except Exception as error:
-                    result.quarantined.append(
+                    report.quarantined.append(
                         (fqdn, f"{type(error).__name__}: {error}")
                     )
                     continue
+                if not isinstance(features, SnapshotFeatures):
+                    # Touch marker: the state is provably unchanged.
+                    if obs_on:
+                        OBS.metrics.inc("sweep.sample.touch")
+                    store.touch(fqdn, at)
+                    if ledger is not None:
+                        fresh = _ledger_entry(client, fqdn, store.latest(fqdn))
+                        if ledger.confirm(fqdn, fresh):
+                            continue
+                        if fresh is None:
+                            ledger.invalidate(fqdn)
+                        else:
+                            ledger.put(fqdn, fresh, _standing_windows(store, feed, fresh))
+                    continue
+                if obs_on:
+                    OBS.metrics.inc(
+                        "sweep.sample.full" if fused else "sweep.sample.generic"
+                    )
                 if features.fetch_status in TRANSIENT_SAMPLE_STATUSES:
-                    result.failures.append((fqdn, features.fetch_status))
-                else:
-                    result.sampled.append(features)
+                    report.failures.append((fqdn, features.fetch_status))
+                    continue
+                is_new, previous = store.record(features)
+                if is_new:
+                    report.changed.append((features, previous))
+                if ledger is not None:
+                    # A full sample supersedes any ledger proof.
+                    ledger.invalidate(fqdn)
     finally:
         monitor.extraction_cache = previous_cache
 
-    result.wall_seconds = time.perf_counter() - started
-    result.cpu_seconds = cpu_seconds_now() - cpu0
-    result.peak_rss_kb = peak_rss_kb()
-    return result
+    report.wall_seconds = time.perf_counter() - started
+    report.cpu_seconds = cpu_seconds_now() - cpu0
+    return report
 
 
 def _sample_fused(
@@ -257,12 +289,11 @@ def _sample_fused(
     fqdn: Name,
     at: datetime,
     headers: Dict[str, str],
-    ledger_out: Optional[Dict[Name, TouchEntry]] = None,
 ) -> Union[SnapshotFeatures, Name]:
     """One weekly sample on the fused healthy-world path.
 
     Semantics-for-semantics replica of ``WeeklyMonitor.sample`` with
-    the fault/breaker/retry/TLS seams (guaranteed quiescent by
+    the fault/breaker/retry seams (guaranteed quiescent by
     :func:`fast_path_eligible`) elided: one resolution serves both the
     index and the sitemap fetch, the routed host is called directly,
     the body is encoded and hashed once, and features are built in a
@@ -276,11 +307,6 @@ def _sample_fused(
     have deduplicated the sample anyway.  The marker skips the features
     construction entirely; the store just extends the current state's
     observation window.
-
-    On a ledger sweep (``ledger_out`` given) every touch marker also
-    mints a :class:`TouchEntry` proof into ``ledger_out`` so future
-    sweeps can skip the name outright while its journal dependencies
-    stay put.
     """
     monitor.samples_taken += 1
     if OBS.enabled:
@@ -348,10 +374,6 @@ def _sample_fused(
         and previous.addresses == addresses
         and previous.sitemap_count >= 0
     ):
-        if ledger_out is not None:
-            entry = _ledger_entry(client.resolver, fqdn, addresses[0], host, previous)
-            if entry is not None:
-                ledger_out[fqdn] = entry
         return fqdn
     if previous is not None and previous.html_hash == body_hash:
         features = replace(
@@ -362,7 +384,6 @@ def _sample_fused(
             addresses=addresses,
             fetch_status=_OK_VALUE,
             attempts=1,
-            scheme="http",
         )
     else:
         fields = cache.html.get(body_hash) if cache is not None else None

@@ -256,46 +256,7 @@ def test_interleaved_sweeps_do_not_clobber_failure_lists():
         assert second.failures == [(bad2, "connection-reset")]
 
 
-# -- prefer_https (regression: the knob used to be dead) -------------------
-
-
-def test_prefer_https_records_https_scheme_when_cert_is_valid(internet):
-    _, resource, fqdn = _victim(internet)
-    internet.issue_certificate(resource, fqdn, T0)
-    monitor = WeeklyMonitor(
-        internet.client, config=MonitorConfig(prefer_https=True)
-    )
-    features = monitor.sample(fqdn, T0)
-    assert features.reachable
-    assert features.scheme == "https"
-    assert features.title == "Portal"
-
-
-def test_prefer_https_falls_back_to_http_without_certificate(internet):
-    _, _, fqdn = _victim(internet)
-    monitor = WeeklyMonitor(
-        internet.client, config=MonitorConfig(prefer_https=True)
-    )
-    features = monitor.sample(fqdn, T0)
-    # TLS failed (no cert), the HTTP fallback carried the sample.
-    assert features.reachable
-    assert features.scheme == "http"
-
-
-def test_scheme_is_not_part_of_state_identity(internet):
-    _, resource, fqdn = _victim(internet)
-    http_monitor = WeeklyMonitor(internet.client)
-    first = http_monitor.sample(fqdn, T0)
-    http_monitor.store.record(first)
-    internet.issue_certificate(resource, fqdn, T0)
-    https_monitor = WeeklyMonitor(
-        internet.client, store=http_monitor.store,
-        config=MonitorConfig(prefer_https=True),
-    )
-    second = https_monitor.sample(fqdn, T0 + timedelta(weeks=1))
-    assert second.scheme == "https"
-    # Same content over a different scheme is the same observed state.
-    assert second.state_key() == first.state_key()
+# -- sitemap summary ------------------------------------------------------
 
 
 def test_sitemap_fields_equal_the_full_parse(internet):

@@ -51,9 +51,6 @@ def test_fast_path_requires_quiescent_client_knobs():
     internet = _internet()
     monitor = WeeklyMonitor(internet.client)
     assert fast_path_eligible(monitor)
-    monitor.config.prefer_https = True
-    assert not fast_path_eligible(monitor)
-    monitor.config.prefer_https = False
     monitor.config.retry = RetryPolicy.standard(3)
     assert not fast_path_eligible(monitor)
 
@@ -180,6 +177,31 @@ def test_process_executor_matches_serial_store_and_changes():
             (c[0], c[1]) for c in theirs.changed
         ]
         assert ours.failures == theirs.failures
+
+
+def test_repeated_names_match_serial_oracle():
+    # A name listed twice is sampled twice, and its second sample must
+    # see what its first one recorded: the second svc0 is a plain touch
+    # and fetches no sitemap, exactly as in the serial loop.
+    def sweep(executor):
+        internet, (svc0, svc1, svc2) = _monitored_world(3)
+        monitor = WeeklyMonitor(internet.client, journal=internet.revisions)
+        fqdns = [svc0, svc1, svc0, svc2]
+        changed, counters = [], []
+        for week in range(3):
+            report = executor.sweep(monitor, fqdns, T0 + week * WEEK)
+            changed.append([(c[0], c[1]) for c in report.changed])
+            counters.append((monitor.samples_taken, monitor.sitemap_fetches))
+        histories = {
+            fqdn: [
+                (s.features, s.first_seen, s.last_seen, s.observations)
+                for s in monitor.store.history(fqdn)
+            ]
+            for fqdn in fqdns
+        }
+        return histories, changed, counters
+
+    assert sweep(ProcessExecutor()) == sweep(SerialExecutor())
 
 
 def test_extraction_cache_persists_across_sweeps():

@@ -40,7 +40,6 @@ def _metrics_export(stage_wall_s=1.0, counters=None, weeks=None):
                     "calls": 2, "cpu_s": stage_wall_s, "wall_s": stage_wall_s,
                 }
             },
-            "shards": {},
         },
     }
 

@@ -179,12 +179,10 @@ def test_series_export_and_deterministic_view(tmp_path):
     registry.inc("c", 3)
     series.snapshot(0, T0, registry)
     series.record_stage("monitor-sweep", cpu_s=0.5, wall_s=0.6)
-    series.record_shard(0, items=100, cpu_s=0.4, wall_s=0.4, peak_rss_kb=512)
     export = series.export(registry, run={"seed": 7})
     assert export["schema"] == "repro.metrics/1"
     assert export["counters"] == {"c": 3}
     assert export["resources"]["stages"]["monitor-sweep"]["calls"] == 1
-    assert export["resources"]["shards"]["0"]["peak_rss_kb"] == 512
     # The deterministic view drops run metadata, resources and sim
     # stamps — only seed-determined content survives.
     view = deterministic_view(export)
@@ -194,17 +192,13 @@ def test_series_export_and_deterministic_view(tmp_path):
     assert deterministic_view(json.loads(json.dumps(export))) == view
 
 
-def test_stage_rows_accumulate_and_shard_rss_takes_the_max():
+def test_stage_rows_accumulate():
     series = TimeSeriesRecorder()
     series.record_stage("detect", 0.1, 0.2)
     series.record_stage("detect", 0.3, 0.4)
     row = series.stage_rows()["detect"]
     assert row["calls"] == 2
     assert row["cpu_s"] == pytest.approx(0.4)
-    series.record_shard(1, 10, 0.1, 0.1, peak_rss_kb=100)
-    series.record_shard(1, 10, 0.1, 0.1, peak_rss_kb=80)
-    assert series.shard_rows()[1]["peak_rss_kb"] == 100
-    assert series.shard_rows()[1]["runs"] == 2
 
 
 # -- cross-executor projection parity --------------------------------------
