@@ -85,7 +85,7 @@ def test_observability_registry(emit):
 
     The same registry ``--metrics``/``profile`` read: asserts the
     instrumentation actually fires on the sweep hot path (resolver
-    memo, zone memos, sample-path split) and emits the counter table
+    memo, zone memos, touch-ledger clean skips) and emits the counter table
     next to the stage timings in ``benchmarks/results/``.
     """
     registry = MetricsRegistry()
@@ -101,15 +101,9 @@ def test_observability_registry(emit):
     assert counters["resolver.queries"] > 0
     assert counters["monitor.samples"] > 0
     assert counters["zone.lookup.memo_misses"] > 0
-    assert counters.get("sweep.shards.fused", 0) > 0
-    sampled = (
-        counters.get("journal.clean_skips", 0)
-        + counters.get("sweep.sample.touch", 0)
-        + counters.get("sweep.sample.full", 0)
-        + counters.get("sweep.sample.generic", 0)
-    )
+    assert counters.get("journal.clean_skips", 0) > 0
     sweep = result.metrics.stage("monitor-sweep")
-    assert sampled == sweep.items_processed
+    assert counters["monitor.samples"] == sweep.items_processed
     spans = tracer.aggregates()
     assert "stage.monitor-sweep" in spans and "sweep.shard" in spans
     emit(

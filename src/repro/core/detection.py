@@ -21,14 +21,12 @@ from repro.content.vocab import Topic
 from repro.core.changes import ChangeEvent
 from repro.core.keywords import abuse_vocabulary_hits, classify_topic, tokenize
 from repro.core.monitoring import SnapshotFeatures, SnapshotStore
-from repro.core.sigindex import SignatureIndex, external_hosts
+from repro.core.sigindex import SignatureIndex
 from repro.core.signatures import (
     BenignCorpus,
     ExtractorConfig,
     Signature,
     SignatureExtractor,
-    facade_markers,
-    page_tokens,
 )
 from repro.dns.names import Name
 from repro.obs import OBS
@@ -295,16 +293,13 @@ class AbuseDetector:
             # No signature can match an unreachable state; skip even
             # the candidate lookup (Signature.match would refuse each).
             return []
-        tokens = page_tokens(features)
-        hosts = external_hosts(features)
-        markers = facade_markers(features)
-        candidate_ids = self.sig_index.candidates(tokens, hosts, markers)
+        candidate_ids = self.sig_index.candidates(
+            features.page_tokens, features.external_hosts, features.facade_markers
+        )
         matches = []
         for sig_id in candidate_ids:
             signature = self.signatures[sig_id]
-            components = signature.match(
-                features, tokens=tokens, hosts=hosts, markers=markers
-            )
+            components = signature.match(features)
             if components is not None:
                 matches.append((signature, components))
         if OBS.enabled:
@@ -339,7 +334,7 @@ class AbuseDetector:
         # arbitrary hash-ordered subset, which varies per PYTHONHASHSEED
         # and leaks into the keyword/topic exports.
         record.keywords |= set(sorted(features.keywords)[:40])
-        topic = classify_topic(page_tokens(features))
+        topic = classify_topic(features.page_tokens)
         if topic is None and features.sitemap_sample:
             # Facade indexes hide the real content; the generated page
             # names in the sitemap reveal the topic (Section 3.2's
@@ -374,10 +369,9 @@ class AbuseDetector:
         triggered = change.any_change or change.first_observation
         if not triggered:
             return False
-        tokens = page_tokens(features)
         return (
-            abuse_vocabulary_hits(tokens) > 0
-            or bool(facade_markers(features))
+            abuse_vocabulary_hits(features.page_tokens) > 0
+            or bool(features.facade_markers)
             or features.sitemap_count >= self.config.bulk_sitemap_count
         )
 
@@ -388,9 +382,9 @@ class AbuseDetector:
             return
         # Analyst-verified benign assets: first sighting, no spam
         # vocabulary, no facade, human-scale sitemap.
-        if abuse_vocabulary_hits(page_tokens(features)) > 0:
+        if abuse_vocabulary_hits(features.page_tokens) > 0:
             return
-        if facade_markers(features):
+        if features.facade_markers:
             return
         if features.sitemap_count >= self.config.bulk_sitemap_count:
             return

@@ -17,9 +17,11 @@ import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from datetime import datetime
+from functools import cached_property
 from itertools import filterfalse
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from repro.core import sigindex
 from repro.core.keywords import extract_keywords
 from repro.core.sigindex import (
     DEFAULT_POSTING_CAP,
@@ -121,6 +123,23 @@ class SnapshotFeatures:
             self.sitemap_size, self.sitemap_count,
         )
 
+    # The component sets signatures match against, defined in
+    # :mod:`repro.core.sigindex` and derived once per state: the store's
+    # postings, the detector and the benign corpus all test the same
+    # state, many signatures over.  A pickled state carries them.
+
+    @cached_property
+    def page_tokens(self) -> FrozenSet[str]:
+        return sigindex.page_tokens(self)
+
+    @cached_property
+    def external_hosts(self) -> FrozenSet[str]:
+        return sigindex.external_hosts(self)
+
+    @cached_property
+    def facade_markers(self) -> FrozenSet[str]:
+        return sigindex.facade_markers(self)
+
 
 class StoredState(SweepWindow):
     """One deduplicated content state and its observation window.
@@ -178,7 +197,7 @@ class SnapshotStore:
         """
         history = self._history.setdefault(features.fqdn, [])
         if history and history[-1].features.state_key() == features.state_key():
-            history[-1].see(features.at)
+            self.touch(features.fqdn, features.at)
             return False, history[-2].features if len(history) > 1 else None
         previous = history[-1].features if history else None
         history.append(
@@ -218,12 +237,10 @@ class SnapshotStore:
         return frozenset(candidates) if candidates is not None else None
 
     def touch(self, fqdn: Name, at: datetime) -> None:
-        """Re-observe ``fqdn``'s current state at ``at`` without a sample.
+        """Re-observe ``fqdn``'s current state at ``at``.
 
-        Equivalent to :meth:`record` with features whose ``state_key``
-        matches the latest stored state — the common steady-state case
-        — minus the cost of building the features object.  The caller
-        must have verified the observed state is unchanged.
+        :meth:`record` of a sample whose ``state_key`` matches the
+        latest stored state extends that state's window through here.
         """
         self._history[fqdn][-1].see(at)
 
@@ -285,12 +302,14 @@ class ExtractionCache:
 
 @dataclass(frozen=True)
 class TouchEntry:
-    """Proof that a name's last full sample is still current.
+    """Proof that the state a name's last sample recorded is current.
 
-    ``deps`` are the revision-journal subjects the sample's outcome
-    depends on — the DNS names its resolution walked (exact and
-    wildcard keys, plus the zone-set key), the edge route and network
-    binding it was served through, and the site whose content it
+    A sweep mints it from the recorded state itself, right after
+    recording it.  ``deps`` are the revision-journal subjects that
+    state depends on — the DNS names its resolution walked (exact and
+    wildcard keys, plus the zone-set key); for a dark address also its
+    network binding; for a page also the edge route and network
+    binding it was served through and the site whose content it
     hashed.  While none of those subjects move in the journal, the
     name's observable state provably equals ``state_key`` and a sweep
     may extend its observation window without re-sampling.
@@ -330,10 +349,12 @@ class TouchLedger:
     snapshot state and the passive-DNS sightings its resolution makes —
     *stands*: from the next sweep on, each instant a ledger sweep
     appends to :attr:`sweeps` extends those windows by one observation,
-    with no per-name work at all.  A name leaves (its windows fold
-    first) when its proof is invalidated, replaced or evicted.  A
-    reverse index from journal subject to dependent names turns a
-    sweep's ``changed_since(cursor)`` into its dirty names directly.
+    with no per-name work at all.  A sweep mints a proof from each
+    state it records, so a name stands from the sweep after its first
+    sample.  A name leaves (its windows fold first) when its proof is
+    invalidated, replaced or evicted.  A reverse index from journal
+    subject to dependent names turns a sweep's
+    ``changed_since(cursor)`` into its dirty names directly.
     """
 
     def __init__(self, cap: int = 65536):
@@ -469,16 +490,20 @@ class TouchLedger:
         )
 
     def confirm(self, fqdn: Name, fresh: Optional[TouchEntry]) -> bool:
-        """Whether ``fqdn``'s full sample confirms its soundness check.
+        """Whether ``fqdn``'s sample settles its soundness check.
 
-        True when ``fqdn`` is in this sweep's slice and its sample was
-        a touch whose freshly minted proof ``fresh`` equals the
-        installed one.  The proof and its recency then stay as they
-        were, and the name stands again from the next sweep.
+        True when ``fqdn`` is in this sweep's slice; its sample then
+        mints no new proof this sweep.  When the proof ``fresh`` minted
+        from the recorded state equals the installed one, the proof and
+        its recency stay as they were, and the name stands again from
+        the next sweep.  Otherwise the check failed, and
+        :meth:`finish_sweep` drops the proof and counts it.
         """
         pending = self._checking.get(fqdn)
-        if pending is None or fresh != pending[0]:
+        if pending is None:
             return False
+        if fresh != pending[0]:
+            return True
         del self._checking[fqdn]
         entry, windows = pending
         if self._entries.get(fqdn) is entry:  # not evicted meanwhile

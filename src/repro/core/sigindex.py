@@ -32,9 +32,12 @@ byte-identical to the linear scan — same matches, same order, same
 export digests — just without testing signatures that cannot fire.
 
 The token-extraction helpers (:func:`page_tokens`,
-:func:`external_hosts`, :func:`facade_markers`) live here, below both
+:func:`external_hosts`, :func:`facade_markers`) define a state's
+component sets.  They live here, below both
 :mod:`repro.core.monitoring` and :mod:`repro.core.signatures` in the
-import graph, and are re-exported by ``signatures`` for compatibility.
+import graph; each ``SnapshotFeatures`` derives them once, through the
+cached properties of the same names that every matcher reads, and
+``signatures`` re-exports them for compatibility.
 """
 
 from __future__ import annotations
@@ -65,6 +68,10 @@ MAINTENANCE_MARKERS: Tuple[str, ...] = (
 #: the snapshot store it summarises.
 DEFAULT_POSTING_CAP = 2_000_000
 
+#: The one empty component set.  Each state keeps the sets it derives,
+#: and most have no external hosts or facade markers.
+_NONE: FrozenSet[str] = frozenset()
+
 
 def _host_of(url: str) -> str:
     without_scheme = url.split("//", 1)[-1]
@@ -78,25 +85,25 @@ def page_tokens(features: "SnapshotFeatures") -> FrozenSet[str]:
         tokens.update(keyword.split(" "))
     for keyword in features.meta_keywords:
         tokens.update(tokenize(keyword))
-    return frozenset(tokens)
+    return frozenset(tokens) or _NONE
 
 
 def external_hosts(features: "SnapshotFeatures") -> FrozenSet[str]:
     """External hosts referenced by the page (infrastructure indicators)."""
     hosts = {_host_of(u) for u in features.external_urls}
     hosts |= {_host_of(s) for s in features.script_srcs if "//" in s}
-    return frozenset(h for h in hosts if h and h != features.fqdn)
+    return frozenset(h for h in hosts if h and h != features.fqdn) or _NONE
 
 
 def facade_markers(features: "SnapshotFeatures") -> FrozenSet[str]:
     """Maintenance-facade markers present in the page title/keywords."""
     haystack = " ".join([features.title.lower()] + sorted(features.keywords))
-    return frozenset(m for m in MAINTENANCE_MARKERS if m in haystack)
+    return frozenset(m for m in MAINTENANCE_MARKERS if m in haystack) or _NONE
 
 
 def state_tokens(features: "SnapshotFeatures") -> FrozenSet[str]:
     """Every indexable token one stored state contributes to postings."""
-    return page_tokens(features) | external_hosts(features) | facade_markers(features)
+    return features.page_tokens | features.external_hosts | features.facade_markers
 
 
 def signature_anchor(signature: "Signature") -> Tuple[str, FrozenSet[str]]:

@@ -24,15 +24,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.keywords import abuse_vocabulary_hits
 from repro.core.monitoring import SnapshotFeatures
 
 # The token-extraction helpers live in ``repro.core.sigindex`` (below
-# the snapshot store in the import graph, so the store's posting index
-# can share them); re-exported here because this module is their
-# historical home and most call sites import them from it.
+# the snapshot store in the import graph, so ``SnapshotFeatures`` can
+# derive and keep its own sets); re-exported here, their historical
+# home, for callers that import them from it.
 from repro.core.sigindex import (  # noqa: F401  (re-exports)
     MAINTENANCE_MARKERS,
     external_hosts,
@@ -68,43 +68,22 @@ class Signature:
             groups.append("template")
         return frozenset(groups)
 
-    def match(
-        self,
-        features: SnapshotFeatures,
-        *,
-        tokens: Optional[FrozenSet[str]] = None,
-        hosts: Optional[FrozenSet[str]] = None,
-        markers: Optional[FrozenSet[str]] = None,
-    ) -> Optional[FrozenSet[str]]:
-        """Match the page; returns the component set on success.
-
-        ``tokens``/``hosts``/``markers`` let a caller testing many
-        signatures against one page pass the page's component sets in
-        precomputed, instead of re-deriving them per signature; omitted
-        ones are computed here, so the result is identical either way.
-        """
+    def match(self, features: SnapshotFeatures) -> Optional[FrozenSet[str]]:
+        """Match the page; returns the component set on success."""
         if not features.reachable:
             return None
         if self.keywords:
-            if tokens is None:
-                tokens = page_tokens(features)
-            hits = len(self.keywords & tokens)
+            hits = len(self.keywords & features.page_tokens)
             if hits < min(self.min_keyword_hits, len(self.keywords)):
                 return None
-        if self.infrastructure:
-            if hosts is None:
-                hosts = external_hosts(features)
-            if not (self.infrastructure & hosts):
-                return None
+        if self.infrastructure and not (self.infrastructure & features.external_hosts):
+            return None
         if self.sitemap_min_count and features.sitemap_count < self.sitemap_min_count:
             return None
         if self.sitemap_min_bytes and features.sitemap_size < self.sitemap_min_bytes:
             return None
-        if self.template_markers:
-            if markers is None:
-                markers = facade_markers(features)
-            if not (self.template_markers & markers):
-                return None
+        if self.template_markers and not (self.template_markers & features.facade_markers):
+            return None
         return self.components
 
 
@@ -122,8 +101,8 @@ class BenignCorpus:
 
     def add(self, features: SnapshotFeatures) -> None:
         self.snapshots.append(features)
-        self._tokens |= page_tokens(features)
-        self._hosts |= external_hosts(features)
+        self._tokens |= features.page_tokens
+        self._hosts |= features.external_hosts
 
     def __len__(self) -> int:
         return len(self.snapshots)
@@ -215,7 +194,7 @@ class SignatureExtractor:
     ) -> List[List[SnapshotFeatures]]:
         clusters: List[Tuple[Set[str], List[SnapshotFeatures]]] = []
         for features in candidates:
-            tokens = set(page_tokens(features))
+            tokens = set(features.page_tokens)
             placed = False
             for cluster_tokens, members in clusters:
                 if _jaccard(tokens, cluster_tokens) >= self.config.cluster_similarity:
@@ -237,11 +216,11 @@ class SignatureExtractor:
         host_counts: Dict[str, int] = {}
         marker_counts: Dict[str, int] = {}
         for features in cluster:
-            for token in page_tokens(features):
+            for token in features.page_tokens:
                 token_counts[token] = token_counts.get(token, 0) + 1
-            for host in external_hosts(features):
+            for host in features.external_hosts:
                 host_counts[host] = host_counts.get(host, 0) + 1
-            for marker in facade_markers(features):
+            for marker in features.facade_markers:
                 marker_counts[marker] = marker_counts.get(marker, 0) + 1
 
         benign_tokens = self._benign.token_universe

@@ -10,9 +10,13 @@ retries and no breaker transitions.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.reporting import percent, render_table
+
+#: The derived series both sweep-facing tables show: every sample but
+#: the touch ledger's clean skips, i.e. the names the sweeps sampled.
+NAMES_SAMPLED = "sweep.names_sampled"
 
 #: (label, hits counter, misses counter) rows of the hit-rate table.
 CACHE_SERIES: Tuple[Tuple[str, str, str], ...] = (
@@ -21,7 +25,7 @@ CACHE_SERIES: Tuple[Tuple[str, str, str], ...] = (
     ("zone cover (zone_for)", "zone.zone_for.memo_hits", "zone.zone_for.memo_misses"),
     ("html extraction", "extraction.html.hits", "extraction.html.misses"),
     ("sitemap extraction", "extraction.sitemap.hits", "extraction.sitemap.misses"),
-    ("touch ledger (clean skips)", "journal.clean_skips", "sweep.sample.full"),
+    ("touch ledger (clean skips)", "journal.clean_skips", NAMES_SAMPLED),
     ("detector sig-index (pruned)", "detector.index.pruned", "detector.index.candidates"),
     ("rescan postings (skipped)", "rescan.skipped", "rescan.visited"),
 )
@@ -55,8 +59,17 @@ def _span_table(tracer) -> str:
     )
 
 
-def _cache_table(metrics) -> str:
+def _counters(metrics) -> Dict[str, int]:
+    """The registry's counters plus :data:`NAMES_SAMPLED`."""
     counters = metrics.counters()
+    counters[NAMES_SAMPLED] = (
+        counters.get("monitor.samples", 0) - counters.get("journal.clean_skips", 0)
+    )
+    return counters
+
+
+def _cache_table(metrics) -> str:
+    counters = _counters(metrics)
     rows: List[Tuple[object, ...]] = []
     for label, hits_key, misses_key in CACHE_SERIES:
         hits = counters.get(hits_key, 0)
@@ -102,17 +115,13 @@ def _retry_table(metrics) -> str:
 
 
 def _sweep_table(result, metrics) -> str:
-    counters = metrics.counters()
+    counters = _counters(metrics)
     rows: List[Tuple[object, ...]] = [
         ("samples taken", counters.get("monitor.samples", 0)),
-        ("fused shards", counters.get("sweep.shards.fused", 0)),
-        ("generic shards", counters.get("sweep.shards.generic", 0)),
         ("journal clean skips", counters.get("journal.clean_skips", 0)),
+        ("names sampled", counters[NAMES_SAMPLED]),
         ("journal dirty hits", counters.get("journal.dirty", 0)),
         ("touch-ledger evictions", counters.get("monitor.touch_ledger.evictions", 0)),
-        ("touch-marker samples", counters.get("sweep.sample.touch", 0)),
-        ("full fused samples", counters.get("sweep.sample.full", 0)),
-        ("generic samples", counters.get("sweep.sample.generic", 0)),
         ("detector signature matches", counters.get("detector.signature_matches", 0)),
         ("detector index lookups", counters.get("detector.index.lookups", 0)),
         ("detector index candidates tested", counters.get("detector.index.candidates", 0)),
@@ -130,7 +139,6 @@ def _sweep_table(result, metrics) -> str:
     if report is not None:
         rows.append(("last sweep wall s (elapsed)", f"{report.wall_seconds:.3f}"))
         rows.append(("last sweep cpu s (sample + record)", f"{report.cpu_seconds:.3f}"))
-        rows.append(("last sweep mode", report.mode))
     return render_table(
         ["metric", "value"], rows, title="\nSweep path and detector"
     )
@@ -139,8 +147,6 @@ def _sweep_table(result, metrics) -> str:
 #: Counter series worth trending week over week, with short labels.
 TREND_SERIES: Tuple[Tuple[str, str], ...] = (
     ("monitor.samples", "samples"),
-    ("sweep.sample.full", "full"),
-    ("sweep.sample.touch", "touch"),
     ("journal.clean_skips", "clean"),
     ("detector.signature_matches", "matches"),
     ("detector.newly_flagged", "flagged"),

@@ -347,8 +347,8 @@ def parity_projection(events: List[Dict]) -> List[Dict]:
     """The topology-invariant slice of the sim projection.
 
     Drops the shard spans (the serial test oracle never opens them)
-    and the trailing metrics snapshot (whose ``sweep.shards.*`` and
-    cache-split counters depend on the executor).  What survives — the
+    and the trailing metrics snapshot (whose ledger and cache-split
+    counters depend on the executor).  What survives — the
     stage, analysis and checkpoint spans with their causal ids — must
     be byte-identical for one seed across executors, and between a
     ledger sweep and a full one.

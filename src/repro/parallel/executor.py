@@ -144,7 +144,6 @@ class ProcessExecutor(SweepExecutor):
         self.last_mode = "inline"
         report = dispatch.results[0]
         self._apply(monitor, report)
-        report.mode = self.last_mode
         report.wall_seconds = time.perf_counter() - started
         self.last_report = report
         return report

@@ -3,11 +3,11 @@
 A *shard* is one weekly sweep's monitored-FQDN list, sampled start to
 finish inline.  :func:`run_shard` records each name into the monitor
 right after sampling it, before it samples the next — the snapshot
-store's ``record`` or ``touch``, the touch ledger's proof, a failure or
-a dead letter — and returns the week's :class:`SweepReport`.  So the
-store, the changed-pairs list and the quarantine list see the exact
-sequence a plain serial loop over ``WeeklyMonitor.sample`` produces,
-repeated names included.
+store's ``record``, the touch ledger's proof, a failure or a dead
+letter — and returns the week's :class:`SweepReport`.  So the store,
+the changed-pairs list and the quarantine list see the exact sequence
+a plain serial loop over ``WeeklyMonitor.sample`` produces, repeated
+names included.
 
 When the world is healthy (no fault plan drawing, no breaker, no retry
 budget) a shard takes the *fused* sampling path: one resolution per
@@ -21,6 +21,9 @@ A monitor with a revision journal takes the fused path through its
 :class:`~repro.core.monitoring.TouchLedger`: names whose proof stands
 are extended in bulk, with no per-name call, and only the dirty, the
 unproven and one soundness slice of the standing names are sampled.
+Each trusted sample mints its name's proof from the state it just
+recorded, so a name stands from its first sweep on — a dangling one
+(NXDOMAIN, a dark address) until its zone, route or binding moves.
 
 A name whose sample raises is a *dead letter*: the shard records it as
 ``(fqdn, "ExcType: message")`` and moves on to the next name.  The
@@ -36,7 +39,7 @@ import hashlib
 import time
 from dataclasses import dataclass, field, replace
 from datetime import datetime
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.monitoring import (
     ExtractionCache,
@@ -84,8 +87,6 @@ class SweepReport:
     #: (retry-exhausted *samples*): a quarantined name produced no
     #: sample at all.
     quarantined: List[Tuple[Name, str]] = field(default_factory=list)
-    #: "serial" (the oracle) or "inline" (one inline shard).
-    mode: str = "serial"
     #: Elapsed time of the whole sweep.
     wall_seconds: float = 0.0
     #: CPU seconds the shard burned sampling and recording its names
@@ -94,28 +95,45 @@ class SweepReport:
 
 
 def _ledger_entry(
-    client: HttpClient, fqdn: Name, previous: SnapshotFeatures
+    client: HttpClient, features: SnapshotFeatures
 ) -> Optional[TouchEntry]:
-    """The :class:`TouchEntry` proving that ``fqdn``'s touch just now
-    re-observed ``previous``.
+    """The :class:`TouchEntry` proving that ``features``, the state a
+    fused sample just recorded, is what its name's next sample would
+    observe; ``None`` when no journal subject can vouch for that.
 
-    Captures every revision-journal subject the sample's outcome
-    depends on: the DNS names the resolution walked (exact and wildcard
-    keys) plus the zone-set key, the edge route and network binding the
-    response came through, and the journal-adopted site whose content
-    was hashed.  While none of those subjects move, the observable
-    state provably equals ``previous.state_key()``.  Entries are plain
-    data, so they checkpoint with the monitor.
+    Captures every revision-journal subject the state depends on: the
+    DNS names the resolution walked (exact and wildcard keys) plus the
+    zone-set key, for every state.  NXDOMAIN, NODATA and SERVFAIL
+    states need nothing more.  A dark address adds its network binding;
+    a page adds the edge route and network binding it came through and
+    the journal-adopted site whose content was hashed.  While none of
+    those subjects move, the observable state provably equals
+    ``features.state_key()``.  Entries are plain data, so they
+    checkpoint with the monitor.
     """
-    ip = previous.addresses[0]
-    site_for = getattr(client.network.host_at(ip), "site_for", None)
-    if site_for is None:
-        return None
-    site = site_for(fqdn)
-    site_key = getattr(site, "journal_key", None)
-    if site_key is None:
-        # Unadopted content (no provider bound it to the journal) has
-        # no change signal; it must keep taking the full sample.
+    fqdn = features.fqdn
+    status = features.fetch_status
+    if status == _OK_VALUE:
+        if features.sitemap_count < 0:
+            # The sitemap fetch failed: the next sample fetches it
+            # again, and may record a new state.
+            return None
+        ip = features.addresses[0]
+        site_for = getattr(client.network.host_at(ip), "site_for", None)
+        if site_for is None:
+            return None
+        site_key = getattr(site_for(fqdn), "journal_key", None)
+        if site_key is None:
+            # Unrouted names and unadopted content (no provider bound
+            # it to the journal) have no change signal; they must keep
+            # taking the full sample.
+            return None
+        served = [("web", fqdn.lower()), ("net", ip), ("site", site_key)]
+    elif status == _CONNECTION_FAILED_VALUE:
+        served = [("net", features.addresses[0])]
+    elif status in (_NXDOMAIN_VALUE, _DNS_ERROR_VALUE):
+        served = []
+    else:
         return None
     res_entry = client.resolver.memo_entry(fqdn, RRType.A)
     if res_entry is None:
@@ -125,9 +143,6 @@ def _ledger_entry(
         deps.append(("dns", name))
         if wkey is not None:
             deps.append(("dns", wkey))
-    deps.append(("web", fqdn.lower()))
-    deps.append(("net", ip))
-    deps.append(("site", site_key))
     observed = tuple(
         record
         for group in Resolver.memo_observed(res_entry)
@@ -135,8 +150,8 @@ def _ledger_entry(
     )
     return TouchEntry(
         fqdn=fqdn,
-        deps=tuple(deps),
-        state_key=previous.state_key(),
+        deps=tuple(deps + served),
+        state_key=features.state_key(),
         observed=observed,
     )
 
@@ -177,19 +192,21 @@ def run_shard(
 ) -> SweepReport:
     """Sweep one shard, recording each name before sampling the next.
 
-    A full sample goes into the snapshot store with ``record``; a touch
-    marker re-observes the current state with ``touch``; a transient
-    final status becomes a failure and a raising sample a dead letter
-    in ``quarantined``, and the loop goes on.  The passive-DNS feed and
-    the extraction cache are written by the samplers themselves.
+    A trusted sample goes into the snapshot store with ``record``; a
+    transient final status becomes a failure and a raising sample a
+    dead letter in ``quarantined``, and the loop goes on.  The
+    passive-DNS feed and the extraction cache are written by the
+    samplers themselves.
 
     On the fused path a monitor with a journal sweeps through its
     :class:`TouchLedger`: standing names are extended in bulk and only
     the rest — dirty, unproven, and this sweep's soundness slice — are
-    sampled, in ``fqdns`` order.  A full sample drops the name's proof;
-    a touch confirms the soundness check or installs the proof it
-    mints, windows and all.  Failed and dead-lettered names keep their
-    proofs until :meth:`ProcessExecutor._apply` closes the sweep.
+    sampled, in ``fqdns`` order.  Each recorded sample mints a proof
+    from the state just recorded, which settles the name's soundness
+    check or stands from the next sweep on, windows and all.  A name
+    without a proof, or whose soundness check failed, is sampled again
+    next sweep.  Failed and dead-lettered names keep their proofs until
+    :meth:`ProcessExecutor._apply` closes the sweep.
     """
     client = monitor.client
     store = monitor.store
@@ -202,11 +219,6 @@ def run_shard(
     report = SweepReport()
     try:
         fused = fast_path_eligible(monitor)
-        obs_on = OBS.enabled
-        if obs_on:
-            OBS.metrics.inc(
-                "sweep.shards.fused" if fused else "sweep.shards.generic"
-            )
         ledger = None
         names = fqdns
         if fused:
@@ -224,7 +236,7 @@ def run_shard(
                     fqdns, monitor.journal.changed_since(ledger.cursor), at
                 )
                 monitor.samples_taken += clean
-                if obs_on and clean:
+                if OBS.enabled and clean:
                     OBS.metrics.inc("monitor.samples", clean)
                     OBS.metrics.inc("journal.clean_skips", clean)
         elif monitor.journal is not None:
@@ -249,33 +261,21 @@ def run_shard(
                         (fqdn, f"{type(error).__name__}: {error}")
                     )
                     continue
-                if not isinstance(features, SnapshotFeatures):
-                    # Touch marker: the state is provably unchanged.
-                    if obs_on:
-                        OBS.metrics.inc("sweep.sample.touch")
-                    store.touch(fqdn, at)
-                    if ledger is not None:
-                        fresh = _ledger_entry(client, fqdn, store.latest(fqdn))
-                        if ledger.confirm(fqdn, fresh):
-                            continue
-                        if fresh is None:
-                            ledger.invalidate(fqdn)
-                        else:
-                            ledger.put(fqdn, fresh, _standing_windows(store, feed, fresh))
-                    continue
-                if obs_on:
-                    OBS.metrics.inc(
-                        "sweep.sample.full" if fused else "sweep.sample.generic"
-                    )
                 if features.fetch_status in TRANSIENT_SAMPLE_STATUSES:
                     report.failures.append((fqdn, features.fetch_status))
                     continue
                 is_new, previous = store.record(features)
                 if is_new:
                     report.changed.append((features, previous))
-                if ledger is not None:
-                    # A full sample supersedes any ledger proof.
+                if ledger is None:
+                    continue
+                fresh = _ledger_entry(client, features)
+                if ledger.confirm(fqdn, fresh):
+                    continue
+                if fresh is None:
                     ledger.invalidate(fqdn)
+                else:
+                    ledger.put(fqdn, fresh, _standing_windows(store, feed, fresh))
     finally:
         monitor.extraction_cache = previous_cache
 
@@ -289,7 +289,7 @@ def _sample_fused(
     fqdn: Name,
     at: datetime,
     headers: Dict[str, str],
-) -> Union[SnapshotFeatures, Name]:
+) -> SnapshotFeatures:
     """One weekly sample on the fused healthy-world path.
 
     Semantics-for-semantics replica of ``WeeklyMonitor.sample`` with
@@ -298,15 +298,6 @@ def _sample_fused(
     index and the sitemap fetch, the routed host is called directly,
     the body is encoded and hashed once, and features are built in a
     single construction instead of a ``replace`` chain.
-
-    Returns the bare ``fqdn`` (a *touch marker*) instead of features
-    when the observed state provably equals the latest stored state:
-    same resolution triple, an OK fetch with the same HTTP status and
-    body hash, and carried (already-fetched) sitemap fields — exactly
-    the fields of ``SnapshotFeatures.state_key``, so ``record`` would
-    have deduplicated the sample anyway.  The marker skips the features
-    construction entirely; the store just extends the current state's
-    observation window.
     """
     monitor.samples_taken += 1
     if OBS.enabled:
@@ -364,17 +355,6 @@ def _sample_fused(
         else hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
     )
     previous = monitor.store.latest(fqdn)
-    if (
-        previous is not None
-        and previous.html_hash == body_hash
-        and previous.fetch_status == _OK_VALUE
-        and previous.http_status == http_status
-        and previous.dns_status == dns_status
-        and previous.cname_chain == cname_chain
-        and previous.addresses == addresses
-        and previous.sitemap_count >= 0
-    ):
-        return fqdn
     if previous is not None and previous.html_hash == body_hash:
         features = replace(
             previous,

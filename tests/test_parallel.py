@@ -81,21 +81,24 @@ def test_fused_sample_matches_generic_sample_feature_for_feature():
         assert actual == expected
 
 
-def test_fused_sample_returns_touch_marker_only_when_state_is_unchanged():
+def test_unchanged_fused_sample_extends_the_stored_state():
     internet = _internet()
     _, resource, fqdn = _victim(internet)
     monitor = WeeklyMonitor(internet.client)
     headers = {"User-Agent": monitor.config.user_agent}
     first = _sample_fused(monitor, fqdn, T0, headers)
-    assert isinstance(first, SnapshotFeatures)
     monitor.store.record(first)
-    # Unchanged world: the fused path proves the state equal and ships
-    # only the name.
-    assert _sample_fused(monitor, fqdn, T0 + WEEK, headers) == fqdn
-    # Content change: a full sample again.
+    # Unchanged world: the sample observes the stored state again, and
+    # recording it extends that state's window.
+    again = _sample_fused(monitor, fqdn, T0 + WEEK, headers)
+    assert again.state_key() == first.state_key()
+    assert monitor.store.record(again) == (False, None)
+    (state,) = monitor.store.history(fqdn)
+    assert (state.first_seen, state.last_seen, state.observations) == (T0, T0 + WEEK, 2)
+    # Content change: a new state.
     resource.site.put_index("<html><head><title>slot gacor</title></head></html>")
     second = _sample_fused(monitor, fqdn, T0 + 2 * WEEK, headers)
-    assert isinstance(second, SnapshotFeatures)
+    assert second.state_key() != first.state_key()
     assert second.title == "slot gacor"
 
 

@@ -29,10 +29,13 @@ from repro.dns.records import RRType, ResourceRecord
 from repro.dns.zone import ZONE_SET_KEY
 from repro.obs import OBS, MetricsRegistry
 from repro.parallel import ProcessExecutor, SerialExecutor
+from repro.parallel import shard as shard_module
 from repro.sim.clock import SimClock
 from repro.sim.events import EventLog
 from repro.sim.revisions import RevisionJournal
 from repro.sim.rng import RngStreams
+from repro.web.http import HttpResponse
+from repro.web.server import dedicated_server
 from repro.web.site import StaticSite
 from repro.world.internet import Internet
 
@@ -218,7 +221,7 @@ def _executors():
     return [pytest.param({}, id="serial")]
 
 
-def _parity_case(executor_kwargs, schedule_builder, weeks=6):
+def _parity_case(executor_kwargs, schedule_builder, weeks=6, victim=_victim):
     """Run one mutation schedule through the serial oracle, a full fused
     sweep (a monitor without a journal) and the ledger sweep; assert
     they record equal stores and the fused pair equal feeds.
@@ -233,7 +236,7 @@ def _parity_case(executor_kwargs, schedule_builder, weeks=6):
         ("ledger", _ledger_monitor, ProcessExecutor(**executor_kwargs)),
     ):
         internet = _internet()
-        _, resource, fqdn = _victim(internet)
+        _, resource, fqdn = victim(internet)
         monitor = monitor_for(internet)
         reports, samples, hist = _run_weeks(
             internet, monitor, executor, [fqdn],
@@ -262,6 +265,25 @@ def _feed(internet):
     )
 
 
+def _ledger_samples(monkeypatch):
+    """The list of ``(at, fqdn)`` samples ledger sweeps take from now
+    on; sweeps on monitors without a journal are not listed."""
+    samples = []
+    real = shard_module._sample_fused
+
+    def spy(monitor, fqdn, at, headers):
+        if monitor.journal is not None:
+            samples.append((at, fqdn))
+        return real(monitor, fqdn, at, headers)
+
+    monkeypatch.setattr(shard_module, "_sample_fused", spy)
+    return samples
+
+
+def _weeks(samples):
+    return [(at - T0) // WEEK for at, _fqdn in samples]
+
+
 @pytest.mark.parametrize("executor_kwargs", _executors())
 def test_site_content_mutation_dirties_the_next_sweep(executor_kwargs):
     def schedule(internet, resource):
@@ -280,7 +302,11 @@ def test_site_content_mutation_dirties_the_next_sweep(executor_kwargs):
 
 
 @pytest.mark.parametrize("executor_kwargs", _executors())
-def test_released_then_reregistered_resource_dirties_each_transition(executor_kwargs):
+def test_released_then_reregistered_resource_dirties_each_transition(
+    executor_kwargs, monkeypatch
+):
+    sampled = _ledger_samples(monkeypatch)
+
     def schedule(internet, resource):
         azure = internet.catalog.provider("Azure")
 
@@ -298,9 +324,53 @@ def test_released_then_reregistered_resource_dirties_each_transition(executor_kw
         return {2: release, 4: reregister}
 
     history = _parity_case(executor_kwargs, schedule)
-    # Three states: live original, dangling (provider 404), hijack.
+    # Three states: live original, dangling (NXDOMAIN: the release
+    # purged the provider record its CNAME points at), hijack.
     assert len(history) == 3
+    assert history[1][0].fetch_status == "dns-nxdomain"
     assert history[2][0].title == "hijacked"
+    # Each state stands from its first sample until the next transition.
+    assert _weeks(sampled) == [0, 2, 4]
+
+
+def _ec2_victim(internet):
+    aws = internet.catalog.provider("AWS")
+    zone = internet.zones.create_zone("acme.com")
+    resource = aws.provision("aws-ec2-ip", "acme-shop", owner="org:acme", at=T0)
+    fqdn = "shop.acme.com"
+    zone.add(ResourceRecord(fqdn, RRType.A, resource.ip), T0)
+    resource.site.put_index("<html><head><title>Portal</title></head></html>")
+    return aws, resource, fqdn
+
+
+@pytest.mark.parametrize("executor_kwargs", _executors())
+def test_dark_address_stands_until_its_ip_is_bound_again(
+    executor_kwargs, monkeypatch
+):
+    sampled = _ledger_samples(monkeypatch)
+
+    def schedule(internet, resource):
+        aws = internet.catalog.provider("AWS")
+
+        def release(at):
+            aws.release(resource, at)  # unbinds the IP: the A record dangles
+
+        def rebind(at):
+            site = StaticSite()
+            site.bind_journal(internet.revisions, ("AWS", "aws-ec2-ip", "attacker-vm"))
+            site.put_index("<html><head><title>hijacked</title></head></html>")
+            internet.network.bind(
+                resource.ip, dedicated_server("AWS", site, journal=internet.revisions)
+            )
+        return {2: release, 4: rebind}
+
+    history = _parity_case(executor_kwargs, schedule, victim=_ec2_victim)
+    assert [state[0].fetch_status for state in history] == [
+        "ok", "connection-failed", "ok"
+    ]
+    assert history[1][3] == 2  # the dark state, observed weeks 2-3
+    assert history[2][0].title == "hijacked"
+    assert _weeks(sampled) == [0, 2, 4]
 
 
 @pytest.mark.parametrize("executor_kwargs", _executors())
@@ -326,20 +396,77 @@ def test_clean_names_are_skipped_and_dirty_names_are_counted(executor_kwargs):
     registry = MetricsRegistry()
     OBS.configure(metrics=registry)
     try:
-        executor.sweep(monitor, [fqdn], T0)            # full sample
-        executor.sweep(monitor, [fqdn], T0 + WEEK)     # touch: mints proof
+        executor.sweep(monitor, [fqdn], T0)            # first sample: mints proof
+        executor.sweep(monitor, [fqdn], T0 + WEEK)     # clean skip
         executor.sweep(monitor, [fqdn], T0 + 2 * WEEK)  # clean skip
         counters = registry.counters()
-        assert counters.get("journal.clean_skips", 0) == 1
+        assert counters.get("journal.clean_skips", 0) == 2
         assert counters.get("journal.dirty", 0) == 0
         resource.site.put_index("<html><head><title>new</title></head></html>")
         executor.sweep(monitor, [fqdn], T0 + 3 * WEEK)  # dirty: full sample
         counters = registry.counters()
-        assert counters.get("journal.clean_skips", 0) == 1
+        assert counters.get("journal.clean_skips", 0) == 2
         assert counters.get("journal.dirty", 0) == 1
     finally:
         OBS.reset()
     assert len(monitor.store.history(fqdn)) == 2
+
+
+def test_week_one_samples_only_the_soundness_slice_and_dirty_names(monkeypatch):
+    """Every name stands from its first sample, so a tiny world's second
+    sweep samples only the names the journal dirtied, the newly
+    monitored and its soundness slice."""
+    engine = build_scenario(ScenarioConfig.tiny())
+    engine.run(max_weeks=1)
+    ledger = engine.payload.monitor.touch_ledger
+    proofs = {
+        fqdn: ledger.get(fqdn) for fqdn in engine.payload.collector.monitored_sorted
+    }
+    assert None not in proofs.values()
+    swept = {}
+    real_begin = TouchLedger.begin_sweep
+
+    def begin_sweep(self, fqdns, changed, at):
+        swept.update(fqdns=list(fqdns), changed=set(changed))
+        return real_begin(self, fqdns, changed, at)
+
+    monkeypatch.setattr(TouchLedger, "begin_sweep", begin_sweep)
+    sampled = _ledger_samples(monkeypatch)
+    engine.run(max_weeks=1)
+    expected = [
+        fqdn for fqdn in swept["fqdns"]
+        if fqdn not in proofs
+        or selfcheck_slot(fqdn) == 1
+        or swept["changed"].intersection(proofs[fqdn].deps)
+    ]
+    assert [fqdn for _at, fqdn in sampled] == expected
+    assert len(expected) < len(swept["fqdns"]) // 2
+
+
+class _SitemapDownSite(StaticSite):
+    """A site whose sitemap fetch always answers 503."""
+
+    def handle(self, request):
+        if request.path == "/sitemap.xml":
+            return HttpResponse(status=503, body="busy")
+        return super().handle(request)
+
+
+def test_a_page_whose_sitemap_fetch_fails_never_stands():
+    internet = _internet()
+    azure, resource, fqdn = _victim(internet)
+    site = _SitemapDownSite()
+    site.put_index("<html><head><title>Portal</title></head></html>")
+    azure.replace_site(resource, site)  # adopted: the site has a journal key
+    monitor = _ledger_monitor(internet)
+    executor = ProcessExecutor()
+    for week in range(4):
+        executor.sweep(monitor, [fqdn], T0 + week * WEEK)
+        assert monitor.touch_ledger.get(fqdn) is None
+    (state,) = monitor.store.history(fqdn)
+    assert state.features.reachable and state.features.sitemap_count == -1
+    assert state.observations == 4
+    assert monitor.sitemap_fetches == 4  # sampled in full every week
 
 
 def test_ledger_cursor_advances_with_the_journal():
@@ -454,16 +581,15 @@ def test_sound_check_leaves_the_proof_and_its_recency_alone(monkeypatch):
     registry = MetricsRegistry()
     OBS.configure(metrics=registry)
     try:
-        executor.sweep(monitor, fqdns, T0)
-        executor.sweep(monitor, fqdns, T0 + WEEK)  # touches mint proofs
+        executor.sweep(monitor, fqdns, T0)  # first samples mint proofs
         proofs = [monitor.touch_ledger.get(fqdn) for fqdn in fqdns]
         order = list(monitor.touch_ledger._entries)
-        for week in (2, 3):
+        for week in (1, 2, 3):
             executor.sweep(monitor, fqdns, T0 + week * WEEK)
         counters = registry.counters()
     finally:
         OBS.reset()
-    assert counters["selfcheck.ledger.checked"] == 6
+    assert counters["selfcheck.ledger.checked"] == 9
     assert "selfcheck.ledger.unsound" not in counters
     assert monitor.ledger_unsound == 0
     assert [monitor.touch_ledger.get(fqdn) for fqdn in fqdns] == proofs

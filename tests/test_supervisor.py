@@ -13,6 +13,7 @@ from datetime import datetime
 
 import pytest
 
+from repro.core import monitoring
 from repro.core.scenario import ScenarioConfig, build_scenario, run_scenario
 from repro.core.export import dataset_to_json
 from repro.parallel import shard as shard_module
@@ -36,10 +37,13 @@ def test_poison_quarantine_survives_executor_and_stage(monkeypatch):
     engine = build_scenario(config)
     engine.run(max_weeks=2)
     result = engine.payload
-    # Only a name the touch ledger does not stand for is sampled.
+    # Every name stands after two sweeps, so poison one that the next
+    # sweep samples as its soundness check.
+    ledger = result.monitor.touch_ledger
+    slot = len(ledger.sweeps) % monitoring.SELFCHECK_SLOTS
     poison = next(
         fqdn for fqdn in result.collector.monitored_sorted
-        if result.monitor.touch_ledger.get(fqdn) is None
+        if ledger.get(fqdn) is not None and monitoring.selfcheck_slot(fqdn) == slot
     )
     real_sample = shard_module._sample_fused
 
