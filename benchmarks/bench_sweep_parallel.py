@@ -97,8 +97,7 @@ def run_variant(scale: str, weeks: Optional[int], low_churn: bool = False,
     # CPU (the serial oracle reports its elapsed time for both).
     report = executor.last_report if executor is not None else None
     return {
-        # Bench results are matched on (workers, mode) by ``repro perf``;
-        # every sweep runs in one process.
+        # Every sweep runs in one process, so there is one worker.
         "workers": 1,
         "mode": mode,
         "sweep": "serial" if serial else "full fused" if full else "ledger",

@@ -227,19 +227,8 @@ def run_analyses(
                 done[task.name] = _skip_outcome(task, failed_dep)
                 continue
             done[task.name] = _execute_task(task, result, _dep_payloads(task, done))
-    outcomes = list(done.values())
-    if OBS.enabled:
-        # Per-task resource rows, in registry order (skips carry zeros
-        # and are omitted).
-        for outcome in outcomes:
-            if outcome.wall_ms or outcome.cpu_ms:
-                OBS.series.record_stage(
-                    f"analysis.{outcome.task}",
-                    outcome.cpu_ms / 1000.0,
-                    outcome.wall_ms / 1000.0,
-                )
     return AnalysisRun(
-        outcomes=outcomes, wall_seconds=time.perf_counter() - started
+        outcomes=list(done.values()), wall_seconds=time.perf_counter() - started
     )
 
 

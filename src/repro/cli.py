@@ -11,8 +11,7 @@
     python -m repro audit      [--seed N] [--scale ...]
     python -m repro pipeline   [--seed N] [--scale ...]
     python -m repro profile    [--seed N] [--scale ...]
-    python -m repro perf       BASELINE CANDIDATE [--threshold X]
-                               [--min-ms MS] [--check]
+    python -m repro perf       BASELINE CANDIDATE
 
 ``run`` executes a scenario and prints the headline summary (optionally
 exporting the abuse dataset to JSON); ``report`` adds the per-analysis
@@ -32,16 +31,15 @@ with sim-clock *and* wall-clock timestamps per event, or
 trace-event JSON with shard and analysis lanes),
 ``--trace-sample N`` keeps every Nth span per span name, and
 ``--metrics-json PATH`` exports the week-by-week counter deltas plus
-per-stage resource accounting as JSON.  With none of them
-given the observability layer stays null-object disabled and adds zero
-cost.
+the per-stage (and, for ``report``, per-analysis) cost rows as JSON.
+With none of them given the observability layer stays null-object
+disabled and adds zero cost.
 
-``perf`` is the regression gate: it compares two telemetry files —
-metrics exports, JSONL traces, Chrome exports or bench results — and
-exits 1 when the candidate regressed past ``--threshold`` (default
-1.20x, with a ``--min-ms`` absolute noise floor) or, with ``--check``,
-when two same-seed metrics exports disagree on any deterministic value
-(a determinism bug, not a slowdown).  Malformed input exits 2.
+``perf`` is the determinism gate: it compares two ``--metrics-json``
+exports and exits 1 when they disagree on any deterministic value
+(week deltas or final counters) — a determinism bug, or a change that
+moved the counters.  Timings are never compared.  Unreadable input or
+a file that is not a metrics export exits 2.
 
 Every subcommand accepts the chaos knobs: ``--faults [LEVEL]`` turns on
 deterministic fault injection (default level 0.05), ``--fault-seed N``
@@ -75,7 +73,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.chains import survey_attack_surface
 from repro.core.export import dataset_to_json
@@ -96,6 +94,9 @@ from repro.obs.perf import EXIT_MALFORMED, PerfInputError
 from repro.obs.perf import compare as perf_compare
 from repro.obs.profile import render_profile
 from repro.pipeline.store import CheckpointStore, atomic_write_text
+
+if TYPE_CHECKING:
+    from repro.analysis import AnalysisRun
 
 
 def _in_range(kind, low, high=None):
@@ -183,8 +184,8 @@ def _build_parser() -> argparse.ArgumentParser:
                               "trace (default 1 = keep all)")
         cmd.add_argument("--metrics-json", metavar="PATH", default=None,
                          help="export week-by-week counter deltas and "
-                              "per-stage resource accounting "
-                              "as JSON to PATH (atomic write)")
+                              "per-stage cost rows as JSON to PATH "
+                              "(atomic write)")
         if name == "run":
             cmd.add_argument("--export", metavar="PATH", default=None,
                              help="write the abuse dataset to a JSON file")
@@ -195,23 +196,13 @@ def _build_parser() -> argparse.ArgumentParser:
                                   "write)")
     perf = sub.add_parser(
         "perf",
-        help="compare two telemetry exports and exit nonzero on regression",
+        help="diff the deterministic views of two metrics exports "
+             "(week deltas and counters) and exit 1 on any divergence",
     )
     perf.add_argument("baseline", metavar="BASELINE",
-                      help="baseline file: metrics export, JSONL trace, "
-                           "chrome export or bench results")
+                      help="baseline --metrics-json export")
     perf.add_argument("candidate", metavar="CANDIDATE",
-                      help="candidate file of the same kind")
-    perf.add_argument("--threshold", type=float, default=1.20, metavar="X",
-                      help="fail when a series exceeds baseline by this "
-                           "ratio (default 1.20 = +20%%)")
-    perf.add_argument("--min-ms", type=float, default=25.0, metavar="MS",
-                      help="ignore regressions smaller than MS absolute "
-                           "(noise floor, default 25)")
-    perf.add_argument("--check", action="store_true",
-                      help="determinism check: fail on ANY divergence in "
-                           "the deterministic view of two metrics exports "
-                           "(week deltas and counters; timings ignored)")
+                      help="candidate --metrics-json export")
     return parser
 
 
@@ -257,7 +248,7 @@ def _print_summary(result: ScenarioResult, out) -> None:
 
 def _print_report(
     result: ScenarioResult, out, json_path: Optional[str] = None
-) -> None:
+) -> "AnalysisRun":
     from repro.analysis import report_json, run_analyses
     from repro.core.paper_report import build_report
 
@@ -268,6 +259,7 @@ def _print_report(
         # never leave a torn report where a previous good one stood.
         atomic_write_text(json_path, report_json(run, result))
         print(f"analysis JSON exported to {json_path}", file=out)
+    return run
 
 
 def _print_pipeline(result: ScenarioResult, out) -> None:
@@ -338,16 +330,33 @@ def _print_metrics(registry: MetricsRegistry, out) -> None:
           file=out)
 
 
+def _cost_rows(
+    result: Optional[ScenarioResult], analyses: Optional["AnalysisRun"]
+) -> Dict[str, Tuple[int, float, float]]:
+    """``--metrics-json``'s cost rows: (calls, cpu s, wall s) per name.
+
+    Every stage that ticked, from the engine's metrics, plus each
+    analysis task that ran (skipped tasks carry zeros and are left
+    out).  Nothing when the run raised before it finished.
+    """
+    rows: Dict[str, Tuple[int, float, float]] = {}
+    if result is not None:
+        for row in result.metrics.stages():
+            if row.ticks:
+                rows[row.name] = (row.ticks, row.cpu_time, row.wall_time)
+    if analyses is not None:
+        for outcome in analyses.outcomes:
+            if outcome.wall_ms or outcome.cpu_ms:
+                rows[f"analysis.{outcome.task}"] = (
+                    1, outcome.cpu_ms / 1000.0, outcome.wall_ms / 1000.0
+                )
+    return rows
+
+
 def _run_perf(args: argparse.Namespace, out) -> int:
     """The ``perf`` subcommand: compare, print, map to an exit code."""
     try:
-        report = perf_compare(
-            args.baseline,
-            args.candidate,
-            threshold=args.threshold,
-            min_ms=args.min_ms,
-            check=args.check,
-        )
+        report = perf_compare(args.baseline, args.candidate)
     except PerfInputError as error:
         print(f"perf: {error}", file=sys.stderr)
         return EXIT_MALFORMED
@@ -393,6 +402,8 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     elif args.resume:
         print("--resume requires --checkpoint-dir", file=sys.stderr)
         return 2
+    result: Optional[ScenarioResult] = None
+    analyses: Optional["AnalysisRun"] = None
     try:
         result = run_scenario(
             config,
@@ -416,7 +427,9 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
                 atomic_write_text(args.export, dataset_to_json(result.dataset, indent=2))
                 print(f"\ndataset exported to {args.export}", file=out)
         elif args.command == "report":
-            _print_report(result, out, json_path=getattr(args, "report_json", None))
+            analyses = _print_report(
+                result, out, json_path=getattr(args, "report_json", None)
+            )
         elif args.command == "audit":
             _print_audit(result, out)
         elif args.command == "pipeline":
@@ -431,7 +444,9 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
                 # The trailing metrics event makes the trace
                 # self-contained: CI asserts counters straight off the
                 # JSONL.  Exports run in the finally so a crashed run
-                # still leaves whatever telemetry it accumulated.
+                # still leaves its counters and finished weeks' deltas;
+                # its cost rows need the finished result, so a run that
+                # raised out of ``run_scenario`` exports none.
                 tracer.emit_metrics(registry)
                 if chrome_out is not None:
                     atomic_write_text(chrome_out, render_chrome(tracer.events))
@@ -446,6 +461,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
                                     "seed": args.seed,
                                     "scale": args.scale,
                                 },
+                                stages=_cost_rows(result, analyses),
                             ),
                             indent=2,
                         ),

@@ -177,10 +177,6 @@ class CloudProvider:
     def edges(self) -> List[VirtualHostServer]:
         return list(self._edges)
 
-    def active_resources(self) -> List[CloudResource]:
-        """Currently provisioned resources."""
-        return list(self._active.values())
-
     def all_resources(self) -> List[CloudResource]:
         """Every resource ever provisioned, in creation order."""
         return list(self._all_resources)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from typing import List, Optional
 
-from repro.cloud.capabilities import AccessLevel, Capability, capabilities_for_access
+from repro.cloud.capabilities import AccessLevel, capabilities_for_access
 from repro.cloud.specs import CloudServiceSpec, NamingPolicy
 from repro.web.site import StaticSite
 
@@ -69,9 +69,6 @@ class CloudResource:
     def capabilities(self) -> frozenset:
         """Capabilities a controller of this resource has (Table 4)."""
         return capabilities_for_access(self.access)
-
-    def has_capability(self, capability: Capability) -> bool:
-        return capability in self.capabilities()
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         where = self.generated_fqdn or self.ip

@@ -616,15 +616,10 @@ class WeeklyMonitor:
         # Second (conditional) request: the sitemap, fetched only when
         # the page is up — the paper's "if we cannot establish an abuse
         # with confidence" follow-up, bounded to 2 requests per FQDN.
+        # An unchanged page was built from ``previous`` above, so it
+        # already carries the stored sitemap fields.
         if previous is None or previous.html_hash != features.html_hash or previous.sitemap_count < 0:
             features = self._with_sitemap_features(features, fqdn, at, headers)
-        else:
-            features = replace(
-                features,
-                sitemap_size=previous.sitemap_size,
-                sitemap_count=previous.sitemap_count,
-                sitemap_sample=previous.sitemap_sample,
-            )
         return features
 
     # -- feature builders ------------------------------------------------------------

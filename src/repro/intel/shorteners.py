@@ -10,7 +10,7 @@ identifiers in the clustering.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 SHORTENER_DOMAINS: Tuple[str, ...] = ("sh.rt", "lnk.wtf", "go2.bet", "tiny.gg")
 
@@ -42,10 +42,6 @@ class UrlShortener:
     def expand(self, short_url: str) -> str:
         """Resolve a short URL; unknown links raise ``KeyError``."""
         return self._forward[short_url]
-
-    def known_links(self) -> List[str]:
-        """All issued short URLs, sorted."""
-        return sorted(self._forward)
 
     def __len__(self) -> int:
         return len(self._forward)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.dns.names import Name, normalize_name
 
@@ -59,10 +59,6 @@ class DomainReport:
     @property
     def flag_count(self) -> int:
         return len(self.flags)
-
-    @property
-    def first_flagged(self) -> Optional[datetime]:
-        return min(self.flags.values()) if self.flags else None
 
 
 class VirusTotalService:

@@ -32,7 +32,6 @@ from typing import Optional
 from repro.obs.metrics import (
     DEFAULT_BOUNDS,
     HistogramData,
-    MS_BOUNDS,
     MetricsRegistry,
     NULL_METRICS,
     NullMetrics,
@@ -56,7 +55,6 @@ from repro.obs.trace import (
     TOPOLOGY_SPAN_PREFIXES,
     Tracer,
     WALL_FIELDS,
-    current_span_id,
     load_events,
     parity_projection,
     sim_projection,
@@ -70,7 +68,6 @@ __all__ = [
     "NULL_METRICS",
     "HistogramData",
     "DEFAULT_BOUNDS",
-    "MS_BOUNDS",
     "metric_key",
     "is_cache_state",
     "Tracer",
@@ -80,7 +77,6 @@ __all__ = [
     "NULL_SPAN",
     "WALL_FIELDS",
     "TOPOLOGY_SPAN_PREFIXES",
-    "current_span_id",
     "load_events",
     "sim_projection",
     "parity_projection",

@@ -21,9 +21,9 @@ matter how deeply nested it is.  That information only exists because
 ids are causal paths — the flat pre-tree stream couldn't have been
 laned.
 
-Events are ``ph:"X"`` complete events (wall start derived from the
-recorded end stamp minus duration), point events are ``ph:"i"``
-instants, and ``ph:"M"`` metadata rows name the lanes.  Timestamps are
+Spans become ``ph:"X"`` complete events (wall start derived from the
+recorded end stamp minus duration), and ``ph:"M"`` metadata rows name
+the lanes.  Timestamps are
 microseconds normalised to the earliest event so traces start at t=0.
 """
 
@@ -67,7 +67,7 @@ def chrome_trace(events: List[Dict]) -> Dict:
     lanes_seen: Dict[Tuple[int, int], str] = {_MAIN: "pipeline"}
 
     def resolve_lane(event: Dict) -> Tuple[int, int]:
-        lane = _lane_from_id(event.get("id") or event.get("parent"))
+        lane = _lane_from_id(event.get("id"))
         if lane is None:
             return _MAIN
         pid, tid, label = lane
@@ -77,8 +77,7 @@ def chrome_trace(events: List[Dict]) -> Dict:
         return pid, tid
 
     for event in events:
-        kind = event.get("type")
-        if kind not in ("span", "event"):
+        if event.get("type") != "span":
             continue  # the metrics snapshot has no timeline meaning
         wall = event.get("wall")
         if wall is None:
@@ -91,28 +90,17 @@ def chrome_trace(events: List[Dict]) -> Dict:
         }
         if event.get("id"):
             args["id"] = event["id"]
-        if kind == "span":
-            dur_us = int(event.get("dur_ms", 0.0) * 1000)
-            trace_events.append({
-                "name": event.get("name", "?"),
-                "ph": "X",
-                # ``wall`` is stamped at span *end*; recover the start.
-                "ts": int(wall * 1_000_000) - dur_us,
-                "dur": dur_us,
-                "pid": pid,
-                "tid": tid,
-                "args": args,
-            })
-        else:
-            trace_events.append({
-                "name": event.get("name", "?"),
-                "ph": "i",
-                "ts": int(wall * 1_000_000),
-                "s": "t",
-                "pid": pid,
-                "tid": tid,
-                "args": args,
-            })
+        dur_us = int(event.get("dur_ms", 0.0) * 1000)
+        trace_events.append({
+            "name": event.get("name", "?"),
+            "ph": "X",
+            # ``wall`` is stamped at span *end*; recover the start.
+            "ts": int(wall * 1_000_000) - dur_us,
+            "dur": dur_us,
+            "pid": pid,
+            "tid": tid,
+            "args": args,
+        })
 
     if trace_events:
         origin = min(entry["ts"] for entry in trace_events)

@@ -1,10 +1,11 @@
-"""Counter/gauge/histogram registry for one process's run.
+"""Counter and histogram registry for one process's run.
 
 Registries hold **deterministic values only**: counts of events that a
 fixed seed replays identically.  Wall-clock timings never go in here —
-they belong to the :mod:`repro.obs.trace` span stream — which is what
-lets tests and CI diff registries across same-seed runs (cache-state
-series aside, see :func:`is_cache_state`).
+they belong to the :mod:`repro.obs.trace` span stream and the engine's
+:class:`~repro.pipeline.metrics.PipelineMetrics` — which is what lets
+tests and CI diff registries across same-seed runs (cache-state series
+aside, see :func:`is_cache_state`).
 """
 
 from __future__ import annotations
@@ -17,14 +18,6 @@ from typing import Dict, List, Tuple
 #: bound land in the overflow bucket.  Powers of two suit the things we
 #: histogram — CNAME chain depths, retry attempt counts.
 DEFAULT_BOUNDS: Tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-
-#: Millisecond-scale bounds for duration histograms.  The power-of-two
-#: :data:`DEFAULT_BOUNDS` top out at 64, so wall timings would saturate
-#: the overflow bucket immediately; these cover sub-ms through ~4s.
-MS_BOUNDS: Tuple[float, ...] = (
-    0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0,
-    250.0, 500.0, 1000.0, 2500.0,
-)
 
 #: Characters in label values that would be ambiguous inside the
 #: ``name{k=v,...}`` key syntax, and their escapes.
@@ -127,17 +120,16 @@ def is_cache_state(key: str) -> bool:
 
 
 class MetricsRegistry:
-    """Deterministic counters, high-watermark gauges and histograms.
+    """Deterministic counters and histograms.
 
     Cheap on purpose: an ``inc`` on an unlabelled series is one dict
     get/set.
     """
 
-    __slots__ = ("_counters", "_gauges", "_histograms")
+    __slots__ = ("_counters", "_histograms")
 
     def __init__(self) -> None:
         self._counters: Dict[str, int] = {}
-        self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, HistogramData] = {}
 
     # -- recording --------------------------------------------------------
@@ -147,31 +139,12 @@ class MetricsRegistry:
         key = metric_key(name, labels) if labels else name
         self._counters[key] = self._counters.get(key, 0) + amount
 
-    def gauge(self, name: str, value: float, **labels: object) -> None:
-        """Record a high-watermark gauge: a re-set keeps the max."""
-        key = metric_key(name, labels) if labels else name
-        current = self._gauges.get(key)
-        if current is None or value > current:
-            self._gauges[key] = value
-
-    def observe(
-        self,
-        name: str,
-        value: float,
-        bounds: Tuple[float, ...] = None,
-        **labels: object,
-    ) -> None:
-        """Add one observation to histogram ``name``.
-
-        ``bounds`` fixes the bucket bounds the first time a series is
-        observed (e.g. :data:`MS_BOUNDS` for duration histograms); the
-        series keeps them for life.
-        """
+    def observe(self, name: str, value: float, **labels: object) -> None:
+        """Add one observation to histogram ``name``."""
         key = metric_key(name, labels) if labels else name
         hist = self._histograms.get(key)
         if hist is None:
-            hist = HistogramData(bounds=bounds) if bounds else HistogramData()
-            self._histograms[key] = hist
+            hist = self._histograms[key] = HistogramData()
         hist.observe(value)
 
     # -- reading ----------------------------------------------------------
@@ -187,9 +160,6 @@ class MetricsRegistry:
             if key.startswith(prefix)
         }
 
-    def gauges(self) -> Dict[str, float]:
-        return {key: self._gauges[key] for key in sorted(self._gauges)}
-
     def histogram(self, name: str, **labels: object) -> HistogramData:
         key = metric_key(name, labels)
         hist = self._histograms.get(key)
@@ -198,32 +168,21 @@ class MetricsRegistry:
     def histograms(self) -> Dict[str, HistogramData]:
         return {key: self._histograms[key] for key in sorted(self._histograms)}
 
-    def hit_rate(self, hits: str, misses: str) -> float:
-        """``hits / (hits + misses)`` over two counters (0.0 when idle)."""
-        h = self._counters.get(hits, 0)
-        m = self._counters.get(misses, 0)
-        return h / (h + m) if h + m else 0.0
-
-    def is_empty(self) -> bool:
-        return not (self._counters or self._gauges or self._histograms)
-
     # -- export -----------------------------------------------------------
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready snapshot with deterministically sorted keys."""
         return {
             "counters": self.counters(),
-            "gauges": self.gauges(),
             "histograms": {
                 key: hist.as_dict() for key, hist in self.histograms().items()
             },
         }
 
     def rows(self) -> List[Tuple[str, object]]:
-        """Render-ready (series, value) rows, counters then gauges then
-        histogram means, each block name-sorted."""
+        """Render-ready (series, value) rows, counters then histogram
+        means, each block name-sorted."""
         rows: List[Tuple[str, object]] = list(self.counters().items())
-        rows.extend(self.gauges().items())
         rows.extend(
             (f"{key} (mean)", round(hist.mean, 3))
             for key, hist in self.histograms().items()
@@ -235,7 +194,6 @@ class MetricsRegistry:
             return NotImplemented
         return (
             self._counters == other._counters
-            and self._gauges == other._gauges
             and self.as_dict()["histograms"] == other.as_dict()["histograms"]
         )
 
@@ -253,13 +211,7 @@ class NullMetrics:
     def inc(self, name: str, amount: int = 1, **labels: object) -> None:
         pass
 
-    def gauge(self, name: str, value: float, **labels: object) -> None:
-        pass
-
-    def observe(
-        self, name: str, value: float, bounds: Tuple[float, ...] = None,
-        **labels: object,
-    ) -> None:
+    def observe(self, name: str, value: float, **labels: object) -> None:
         pass
 
     def counter(self, name: str, **labels: object) -> int:
@@ -268,23 +220,14 @@ class NullMetrics:
     def counters(self, prefix: str = "") -> Dict[str, int]:
         return {}
 
-    def gauges(self) -> Dict[str, float]:
-        return {}
-
     def histograms(self) -> Dict[str, HistogramData]:
         return {}
-
-    def hit_rate(self, hits: str, misses: str) -> float:
-        return 0.0
-
-    def is_empty(self) -> bool:
-        return True
 
     def rows(self) -> List[Tuple[str, object]]:
         return []
 
     def as_dict(self) -> Dict[str, object]:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
+        return {"counters": {}, "histograms": {}}
 
 
 #: The shared disabled-mode registry (stateless, safe to share).

@@ -1,53 +1,36 @@
-"""The ``repro perf`` regression gate: diff two telemetry exports.
+"""The ``repro perf`` gate: diff two metrics exports for determinism.
 
-The ROADMAP's north star — "as fast as the hardware allows" — is
-unenforceable while performance is a number someone eyeballs in a bench
-log.  This module turns any pair of exports the observability layer
-produces into a pass/fail verdict:
+``repro perf BASELINE CANDIDATE`` loads two ``--metrics-json`` exports
+(schema ``repro.metrics/1``) and compares their
+:func:`~repro.obs.timeseries.deterministic_view` — week-by-week counter
+deltas plus final counters.  Any divergence fails: two same-seed runs
+disagreeing is a determinism bug, and a committed baseline that no
+longer matches means a change moved the counters.  Wall-class
+resources are never compared; run-to-run timing noise is not a
+verdict.
 
-* **metrics exports** (``--metrics-json``, schema ``repro.metrics/1``):
-  timing mode compares per-stage CPU/wall resource rows; ``--check``
-  mode compares the :func:`~repro.obs.timeseries.deterministic_view`
-  (week deltas + counters) and fails on *any* divergence — two
-  same-seed runs disagreeing is a determinism bug, not a slowdown;
-* **JSONL traces** (``--trace``): per-span-name total durations;
-* **Chrome exports** (``--trace-format chrome``): same, from ``dur``;
-* **bench results** (``benchmarks/results/*.json``): per-run wall
-  seconds matched on (workers, mode).
-
-Timing comparisons apply a ratio ``threshold`` (default 1.20: fail at
-+20%) with a ``min_ms`` absolute floor so a 3ms span doubling to 6ms —
-pure scheduler noise — never fails a gate.  Exit codes are the
-contract CI scripts build on: 0 pass, 1 regression or determinism
-mismatch, 2 malformed input (unreadable, unrecognised, or incomparable
-kinds).
+Exit codes are the contract CI scripts build on: 0 the views are
+equal, 1 they diverge, 2 malformed input (unreadable, not JSON, or
+not a ``repro.metrics`` export).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 #: Gate exit codes (the CLI maps report -> code with these).
 EXIT_OK = 0
 EXIT_REGRESSION = 1
 EXIT_MALFORMED = 2
 
-DEFAULT_THRESHOLD = 1.20
-DEFAULT_MIN_MS = 25.0
-
 
 class PerfInputError(ValueError):
-    """Input file unreadable or not a recognisable export kind."""
+    """Input file unreadable or not a metrics export."""
 
 
-def load_export(path: str) -> Tuple[str, object]:
-    """Load ``path`` and classify it: (kind, parsed payload).
-
-    Kinds: ``metrics`` / ``chrome`` / ``bench`` / ``trace``.  JSONL
-    traces are detected by parsing line-wise when the file is not one
-    JSON document.
-    """
+def load_export(path: str) -> Dict:
+    """Load ``path`` as a ``repro.metrics`` export document."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -57,120 +40,12 @@ def load_export(path: str) -> Tuple[str, object]:
         raise PerfInputError(f"{path} is empty")
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError:
-        doc = None
-    if isinstance(doc, dict):
-        if str(doc.get("schema", "")).startswith("repro.metrics/"):
-            return "metrics", doc
-        if "traceEvents" in doc:
-            return "chrome", doc
-        if "runs" in doc:
-            return "bench", doc
-        if "type" in doc:
-            # A one-line JSONL trace parses as a single JSON document.
-            return "trace", [doc]
-        raise PerfInputError(f"{path}: unrecognised JSON document")
-    # Not a single JSON document: try JSONL trace lines.
-    events: List[Dict] = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise PerfInputError(f"{path}:{lineno}: not JSON ({exc})") from exc
-        if not isinstance(event, dict) or "type" not in event:
-            raise PerfInputError(f"{path}:{lineno}: not a trace event")
-        events.append(event)
-    if not events:
-        raise PerfInputError(f"{path}: no parseable content")
-    return "trace", events
-
-
-# -- per-kind timing extraction -------------------------------------------
-
-
-def _trace_totals(events: List[Dict]) -> Dict[str, float]:
-    """Per-span-name total duration in ms from a JSONL event list."""
-    totals: Dict[str, float] = {}
-    for event in events:
-        if event.get("type") == "span":
-            name = event.get("name", "?")
-            totals[name] = totals.get(name, 0.0) + float(event.get("dur_ms", 0.0))
-    return totals
-
-
-def _chrome_totals(doc: Dict) -> Dict[str, float]:
-    """Per-name total duration in ms from Chrome complete events."""
-    totals: Dict[str, float] = {}
-    for entry in doc.get("traceEvents", []):
-        if entry.get("ph") == "X":
-            name = entry.get("name", "?")
-            totals[name] = totals.get(name, 0.0) + float(entry.get("dur", 0)) / 1000.0
-    return totals
-
-
-def _metrics_totals(doc: Dict) -> Dict[str, float]:
-    """Per-stage wall ms from a metrics export's resource rows."""
-    totals: Dict[str, float] = {}
-    stages = doc.get("resources", {}).get("stages", {})
-    for name, row in stages.items():
-        totals[f"stage.{name}"] = float(row.get("wall_s", 0.0)) * 1000.0
-    return totals
-
-
-def _bench_totals(doc: Dict) -> Dict[str, float]:
-    """Per-configuration wall ms from a bench results file."""
-    totals: Dict[str, float] = {}
-    for run in doc.get("runs", []):
-        key = f"workers={run.get('workers')},mode={run.get('mode')}"
-        totals[key] = float(run.get("wall_s", 0.0)) * 1000.0
-    return totals
-
-
-_TOTALS = {
-    "trace": _trace_totals,
-    "chrome": _chrome_totals,
-    "metrics": _metrics_totals,
-    "bench": _bench_totals,
-}
-
-
-# -- comparison ------------------------------------------------------------
-
-
-def compare_timings(
-    baseline: Dict[str, float],
-    candidate: Dict[str, float],
-    threshold: float = DEFAULT_THRESHOLD,
-    min_ms: float = DEFAULT_MIN_MS,
-) -> List[Dict]:
-    """Regressions where candidate exceeds baseline by the threshold.
-
-    A series regresses when ``candidate > baseline * threshold`` *and*
-    the absolute growth exceeds ``min_ms`` — the floor is what keeps
-    microsecond-scale spans from tripping the gate on scheduler noise.
-    Series present on only one side are reported informationally by the
-    caller, not failed: stage sets legitimately differ across configs.
-    """
-    regressions: List[Dict] = []
-    for name in sorted(baseline):
-        if name not in candidate:
-            continue
-        base = baseline[name]
-        cand = candidate[name]
-        if cand <= base * threshold:
-            continue
-        if cand - base <= min_ms:
-            continue
-        regressions.append({
-            "series": name,
-            "baseline_ms": round(base, 3),
-            "candidate_ms": round(cand, 3),
-            "ratio": round(cand / base, 3) if base else float("inf"),
-        })
-    return regressions
+    except json.JSONDecodeError as exc:
+        raise PerfInputError(f"{path}: not JSON ({exc})") from exc
+    if not (isinstance(doc, dict)
+            and str(doc.get("schema", "")).startswith("repro.metrics/")):
+        raise PerfInputError(f"{path}: not a repro.metrics export")
+    return doc
 
 
 def _deterministic_mismatches(base: Dict, cand: Dict) -> List[str]:
@@ -199,79 +74,30 @@ def _deterministic_mismatches(base: Dict, cand: Dict) -> List[str]:
     return problems
 
 
-def compare(
-    baseline_path: str,
-    candidate_path: str,
-    threshold: float = DEFAULT_THRESHOLD,
-    min_ms: float = DEFAULT_MIN_MS,
-    check: bool = False,
-) -> Dict:
-    """Full gate run: load, classify, compare; returns the report dict.
+def compare(baseline_path: str, candidate_path: str) -> Dict:
+    """Full gate run: load both exports, diff their deterministic views.
 
     The report's ``exit_code`` is the process exit status; ``lines``
     are ready-to-print human output.  Raises :class:`PerfInputError`
     for malformed inputs (the CLI maps that to exit 2).
     """
-    base_kind, base = load_export(baseline_path)
-    cand_kind, cand = load_export(candidate_path)
-    if base_kind != cand_kind:
-        raise PerfInputError(
-            f"cannot compare {base_kind} ({baseline_path}) "
-            f"with {cand_kind} ({candidate_path})"
-        )
-
-    lines: List[str] = [f"perf: comparing {base_kind} exports"]
-    report: Dict = {"kind": base_kind, "check": check}
-
-    if check:
-        if base_kind != "metrics":
-            raise PerfInputError(
-                f"--check needs metrics exports, got {base_kind}"
-            )
-        mismatches = _deterministic_mismatches(base, cand)
-        report["mismatches"] = mismatches
-        if mismatches:
-            lines.append(f"FAIL: {len(mismatches)} deterministic divergence(s)")
-            lines.extend(f"  {line}" for line in mismatches[:20])
-            if len(mismatches) > 20:
-                lines.append(f"  ... and {len(mismatches) - 20} more")
-            report["exit_code"] = EXIT_REGRESSION
-        else:
-            weeks = len(base.get("weeks", []))
-            counters = len(base.get("counters", {}))
-            lines.append(
-                f"OK: deterministic views match "
-                f"({weeks} weeks, {counters} counters)"
-            )
-            report["exit_code"] = EXIT_OK
-        report["lines"] = lines
-        return report
-
-    base_totals = _TOTALS[base_kind](base)
-    cand_totals = _TOTALS[cand_kind](cand)
-    regressions = compare_timings(base_totals, cand_totals, threshold, min_ms)
-    only_base = sorted(set(base_totals) - set(cand_totals))
-    only_cand = sorted(set(cand_totals) - set(base_totals))
-    report["regressions"] = regressions
-    report["compared"] = len(set(base_totals) & set(cand_totals))
-    if only_base:
-        lines.append(f"note: {len(only_base)} series only in baseline")
-    if only_cand:
-        lines.append(f"note: {len(only_cand)} series only in candidate")
-    if regressions:
-        lines.append(
-            f"FAIL: {len(regressions)} series regressed beyond "
-            f"{threshold:.2f}x (+{min_ms:g}ms floor)"
-        )
-        for reg in regressions:
-            lines.append(
-                f"  {reg['series']}: {reg['baseline_ms']:.1f}ms -> "
-                f"{reg['candidate_ms']:.1f}ms ({reg['ratio']:.2f}x)"
-            )
+    base = load_export(baseline_path)
+    cand = load_export(candidate_path)
+    lines: List[str] = ["perf: comparing metrics exports"]
+    mismatches = _deterministic_mismatches(base, cand)
+    report: Dict = {"mismatches": mismatches}
+    if mismatches:
+        lines.append(f"FAIL: {len(mismatches)} deterministic divergence(s)")
+        lines.extend(f"  {line}" for line in mismatches[:20])
+        if len(mismatches) > 20:
+            lines.append(f"  ... and {len(mismatches) - 20} more")
         report["exit_code"] = EXIT_REGRESSION
     else:
+        weeks = len(base.get("weeks", []))
+        counters = len(base.get("counters", {}))
         lines.append(
-            f"OK: {report['compared']} series within {threshold:.2f}x"
+            f"OK: deterministic views match "
+            f"({weeks} weeks, {counters} counters)"
         )
         report["exit_code"] = EXIT_OK
     report["lines"] = lines

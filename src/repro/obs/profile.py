@@ -184,23 +184,15 @@ def _trend_table(series) -> str:
     )
 
 
-def _resource_table(series) -> str:
-    """Where the CPU went: per-stage resource rows."""
-    stages = series.stage_rows()
+def _resource_table(result) -> str:
+    """Where the CPU went: the engine's per-stage cost rows."""
+    stages = [row for row in result.metrics.stages() if row.ticks]
     if not stages:
         return ""
-    rows: List[Tuple[object, ...]] = []
-    for name, row in sorted(
-        stages.items(), key=lambda item: -item[1]["cpu_s"]
-    ):
-        rows.append(
-            (
-                name,
-                int(row["calls"]),
-                f"{row['cpu_s']:.3f}",
-                f"{row['wall_s']:.3f}",
-            )
-        )
+    rows = [
+        (row.name, row.ticks, f"{row.cpu_time:.3f}", f"{row.wall_time:.3f}")
+        for row in sorted(stages, key=lambda row: (-row.cpu_time, row.name))
+    ]
     return render_table(
         ["stage", "calls", "cpu s", "wall s"],
         rows,
@@ -219,8 +211,8 @@ def render_profile(result, metrics, tracer, series=None) -> str:
         _retry_table(metrics),
         _sweep_table(result, metrics),
     ]
-    if series is not None:
-        for extra in (_trend_table(series), _resource_table(series)):
-            if extra:
-                sections.append(extra)
+    trend = _trend_table(series) if series is not None else ""
+    for extra in (trend, _resource_table(result)):
+        if extra:
+            sections.append(extra)
     return "\n".join(sections)

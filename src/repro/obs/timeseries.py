@@ -1,4 +1,4 @@
-"""Week-boundary metric series and per-stage resource accounting.
+"""Week-boundary metric series and the ``--metrics-json`` export.
 
 The pipeline's unit of simulated time is the week: every
 :meth:`~repro.pipeline.engine.PipelineEngine.step` runs the stage list
@@ -14,24 +14,22 @@ Two kinds of data live here and must never be conflated:
 
 * **Deterministic**: week-indexed counter deltas.  Pure functions of
   the seed; two same-seed runs must produce equal delta series, and the
-  ``repro perf --check`` gate diffs exactly these.
+  ``repro perf`` gate diffs exactly these.
 * **Wall-class**: CPU seconds (:func:`cpu_seconds_now`, this
   process's ``time.process_time``), peak RSS (:func:`peak_rss_kb`, from
-  ``resource.getrusage`` where the platform has it), and wall seconds.
-  These vary run to run and are *excluded* from determinism diffs —
-  :func:`deterministic_view` strips them, mirroring ``WALL_FIELDS`` in
-  the trace layer.
-
-Per-stage resource rows accumulate across the run (sums of cpu and
-wall) keyed by stage name, giving the ``profile`` report its "where
-did the time go" table without touching the deterministic stream.
+  ``resource.getrusage`` where the platform has it), and the per-stage
+  cost rows the caller hands to :meth:`TimeSeriesRecorder.export`
+  (the engine's :class:`~repro.pipeline.metrics.PipelineMetrics` is
+  the one store of stage cost).  These vary run to run and are
+  *excluded* from determinism diffs — :func:`deterministic_view` strips
+  them, mirroring ``WALL_FIELDS`` in the trace layer.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs.metrics import is_cache_state
 
@@ -72,17 +70,15 @@ def peak_rss_kb() -> int:
 
 
 class TimeSeriesRecorder:
-    """Collects week-delta series plus per-stage resource rows."""
+    """Collects week-delta series of the counter registry."""
 
-    __slots__ = ("_weeks", "_last_counters", "_stages")
+    __slots__ = ("_weeks", "_last_counters")
 
     def __init__(self) -> None:
         #: One entry per completed week, in week order.
         self._weeks: List[Dict] = []
         #: Counter totals at the previous week boundary.
         self._last_counters: Dict[str, int] = {}
-        #: stage name -> {"calls", "cpu_s", "wall_s"} accumulated rows.
-        self._stages: Dict[str, Dict[str, float]] = {}
 
     # -- week series -------------------------------------------------------
 
@@ -91,8 +87,7 @@ class TimeSeriesRecorder:
 
         ``metrics`` is the live registry; the delta against the previous
         boundary isolates the week's own activity.  Counters only — the
-        delta of a high-watermark gauge or a histogram is not meaningful
-        week over week.
+        delta of a histogram is not meaningful week over week.
         """
         current = dict(metrics.counters())
         deltas = {}
@@ -106,37 +101,27 @@ class TimeSeriesRecorder:
             entry["sim"] = at.isoformat() if hasattr(at, "isoformat") else at
         self._weeks.append(entry)
 
-    # -- resource rows -----------------------------------------------------
-
-    def record_stage(self, name: str, cpu_s: float, wall_s: float) -> None:
-        row = self._stages.get(name)
-        if row is None:
-            row = {"calls": 0, "cpu_s": 0.0, "wall_s": 0.0}
-            self._stages[name] = row
-        row["calls"] += 1
-        row["cpu_s"] += cpu_s
-        row["wall_s"] += wall_s
-
     # -- reading -----------------------------------------------------------
 
     def weeks(self) -> List[Dict]:
         return list(self._weeks)
 
-    def stage_rows(self) -> Dict[str, Dict[str, float]]:
-        return {name: dict(self._stages[name]) for name in sorted(self._stages)}
-
-    def is_empty(self) -> bool:
-        return not (self._weeks or self._stages)
-
     # -- export ------------------------------------------------------------
 
-    def export(self, metrics, run: Optional[Dict] = None) -> Dict:
+    def export(
+        self,
+        metrics,
+        run: Optional[Dict] = None,
+        stages: Optional[Dict[str, Tuple[int, float, float]]] = None,
+    ) -> Dict:
         """The ``--metrics-json`` document.
 
         Deterministic sections (``weeks`` deltas, final ``counters``)
         and wall-class sections (``resources``, per-week ``sim`` stamps
         stay because they're seed-derived) live side by side;
         :func:`deterministic_view` carves out the former for diffing.
+        ``stages`` maps a stage or task name to its ``(calls, cpu
+        seconds, wall seconds)``; the rows are written name-sorted.
         """
         doc: Dict = {"schema": METRICS_SCHEMA}
         if run:
@@ -150,11 +135,11 @@ class TimeSeriesRecorder:
             },
             "stages": {
                 name: {
-                    "calls": int(row["calls"]),
-                    "cpu_s": round(row["cpu_s"], 4),
-                    "wall_s": round(row["wall_s"], 4),
+                    "calls": int(calls),
+                    "cpu_s": round(cpu_s, 4),
+                    "wall_s": round(wall_s, 4),
                 }
-                for name, row in self.stage_rows().items()
+                for name, (calls, cpu_s, wall_s) in sorted((stages or {}).items())
             },
         }
         return doc
@@ -165,11 +150,10 @@ def deterministic_view(export: Dict) -> Dict:
 
     Week deltas and final counters only — resources, run metadata and
     per-week sim stamps are dropped (sim stamps are deterministic but
-    depend on the configured start date, which ``--check`` should not
+    depend on the configured start date, which the gate should not
     couple to), and so are the cache-state series
     (:func:`~repro.obs.metrics.is_cache_state`).  Two same-seed runs
-    must produce equal views; this is what ``repro perf --check``
-    compares.
+    must produce equal views; this is what ``repro perf`` compares.
     """
 
     def seeded(series: Dict) -> Dict:
@@ -192,22 +176,6 @@ class NullSeries:
 
     def snapshot(self, week_index: int, at, metrics) -> None:
         pass
-
-    def record_stage(self, name: str, cpu_s: float, wall_s: float) -> None:
-        pass
-
-    def weeks(self) -> List[Dict]:
-        return []
-
-    def stage_rows(self) -> Dict[str, Dict[str, float]]:
-        return {}
-
-    def is_empty(self) -> bool:
-        return True
-
-    def export(self, metrics, run: Optional[Dict] = None) -> Dict:
-        return {"schema": METRICS_SCHEMA, "weeks": [], "counters": {},
-                "resources": {"process": {}, "stages": {}}}
 
 
 #: The shared disabled-mode recorder (stateless, safe to share).

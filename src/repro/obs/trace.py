@@ -11,10 +11,8 @@ Spans form a **causal tree**.  The currently-open span is tracked in a
 :mod:`contextvars` context variable; a span opened while another is
 open becomes its child and records the parent's id.  Ids are *path
 ids* — ``parent-id/name#seq`` — assigned from deterministic state
-only: the per-parent sequence number of that span name, or an explicit
-``seq=`` the call site derives from simulation structure (the sweep's
-shard span passes shard 0).  That makes the id-bearing projection a
-pure function of the seed.
+only: the per-parent sequence number of that span name.  That makes
+the id-bearing projection a pure function of the seed.
 
 Sampling (``sample_every=N``) keeps every Nth span *per span name*, a
 deterministic rule that thins the JSONL without desynchronising
@@ -53,27 +51,20 @@ _CURRENT_SPAN: ContextVar[Optional["_Span"]] = ContextVar(
 )
 
 
-def current_span_id() -> Optional[str]:
-    """The id of the innermost open span (``None`` outside any span)."""
-    span = _CURRENT_SPAN.get()
-    return span.id if span is not None else None
-
-
 class _Span:
     """One in-flight span; a context manager that emits on exit."""
 
     __slots__ = (
         "_tracer", "name", "sim", "week", "attrs", "_started",
-        "id", "parent", "seq", "_token", "_child_seq",
+        "id", "parent", "_token", "_child_seq",
     )
 
-    def __init__(self, tracer: "Tracer", name: str, sim, week, seq, attrs):
+    def __init__(self, tracer: "Tracer", name: str, sim, week, attrs):
         self._tracer = tracer
         self.name = name
         self.sim = sim
         self.week = week
         self.attrs = attrs
-        self.seq = seq
         self._started = 0.0
         self.id: Optional[str] = None
         self.parent: Optional[str] = None
@@ -91,16 +82,12 @@ class _Span:
 
     def __enter__(self) -> "_Span":
         parent = _CURRENT_SPAN.get()
-        if self.seq is not None:
-            n = self.seq
-        elif parent is not None:
-            n = parent._next_child_seq(self.name)
-        else:
-            n = self._tracer._next_root_seq(self.name)
         if parent is not None:
+            n = parent._next_child_seq(self.name)
             self.parent = parent.id
             self.id = f"{parent.id}/{self.name}#{n}"
         else:
+            n = self._tracer._next_root_seq(self.name)
             self.id = f"{self.name}#{n}"
         self._token = _CURRENT_SPAN.set(self)
         self._started = time.perf_counter()
@@ -134,20 +121,14 @@ class NullTracer:
 
     __slots__ = ()
 
-    def span(self, name: str, sim=None, week=None, seq=None, **attrs) -> _NullSpan:
+    def span(self, name: str, sim=None, week=None, **attrs) -> _NullSpan:
         return NULL_SPAN
-
-    def event(self, name: str, sim=None, week=None, **attrs) -> None:
-        pass
 
     def emit_metrics(self, registry, sim=None) -> None:
         pass
 
     def aggregates(self) -> Dict[str, Dict[str, float]]:
         return {}
-
-    def flush(self) -> None:
-        pass
 
     def close(self) -> None:
         pass
@@ -187,7 +168,6 @@ class Tracer:
         self._agg: Dict[str, List[float]] = {}
         #: Per-name sequence counters of root spans (no open parent).
         self._root_seq: Dict[str, int] = {}
-        self.events_emitted = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -201,21 +181,9 @@ class Tracer:
 
     # -- recording --------------------------------------------------------
 
-    def span(self, name: str, sim=None, week=None, seq=None, **attrs) -> _Span:
-        """Open a span; use as a context manager.
-
-        ``seq`` overrides the per-parent sequence number in the span's
-        path id, for call sites that derive it from simulation
-        structure (the sweep's shard span pins shard 0) rather than
-        from how many siblings opened first.
-        """
-        return _Span(self, name, sim, week, seq, attrs)
-
-    def event(self, name: str, sim=None, week=None, **attrs) -> None:
-        """Emit a point event (never sampled away); parented like a span."""
-        self._write(
-            self._payload("event", name, sim, week, attrs, parent=current_span_id())
-        )
+    def span(self, name: str, sim=None, week=None, **attrs) -> _Span:
+        """Open a span; use as a context manager."""
+        return _Span(self, name, sim, week, attrs)
 
     def _next_root_seq(self, name: str) -> int:
         n = self._root_seq.get(name, 0)
@@ -274,7 +242,6 @@ class Tracer:
         return payload
 
     def _write(self, payload: Dict) -> None:
-        self.events_emitted += 1
         if self._handle is not None:
             self._handle.write(json.dumps(payload) + "\n")
 
@@ -291,10 +258,6 @@ class Tracer:
             }
             for name, agg in sorted(self._agg.items())
         }
-
-    def flush(self) -> None:
-        if self._handle is not None:
-            self._handle.flush()
 
     def close(self) -> None:
         if self._handle is not None:
@@ -314,7 +277,6 @@ class BufferTracer(Tracer):
         self.events: List[Dict] = []
 
     def _write(self, payload: Dict) -> None:
-        self.events_emitted += 1
         self.events.append(payload)
 
 

@@ -244,10 +244,8 @@ def run_shard(
             # may stand through this sweep.
             monitor.touch_ledger.clear()
         headers = {"User-Agent": monitor.config.user_agent}
-        # ``seq=0`` pins the span's path id (and its trace lane) to
-        # shard 0, whatever else the sweep stage opened first.
         with OBS.tracer.span(
-            "sweep.shard", sim=at, seq=0, shard=0, size=len(fqdns),
+            "sweep.shard", sim=at, shard=0, size=len(fqdns),
             mode="fused" if fused else "generic",
         ):
             for fqdn in names:

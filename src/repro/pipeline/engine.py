@@ -29,7 +29,7 @@ from datetime import datetime, timedelta
 from typing import Any, Callable, List, Optional, Sequence, Set
 
 from repro.faults.retry import RetryPolicy
-from repro.obs import OBS, cpu_seconds_now
+from repro.obs import OBS
 from repro.pipeline.context import QuarantineRecord, WeekContext
 from repro.pipeline.metrics import PipelineMetrics
 from repro.pipeline.stage import Stage
@@ -173,7 +173,7 @@ class PipelineEngine:
         while True:
             attempt += 1
             started = time.perf_counter()
-            cpu0 = cpu_seconds_now() if OBS.enabled else 0.0
+            cpu_started = time.process_time()
             try:
                 with OBS.tracer.span(
                     f"stage.{stage.name}", sim=ctx.at, week=ctx.week_index,
@@ -182,8 +182,9 @@ class PipelineEngine:
                     items = stage.tick(ctx)
             except Exception as exc:
                 elapsed = time.perf_counter() - started
+                cpu = time.process_time() - cpu_started
                 if attempt < self.stage_retry.max_attempts:
-                    self.metrics.record_retry(stage.name, elapsed)
+                    self.metrics.record_retry(stage.name, elapsed, cpu)
                     continue
                 if self.on_stage_error == "raise":
                     # Record where the week broke so a checkpoint taken
@@ -191,18 +192,17 @@ class PipelineEngine:
                     self._inflight_ctx = ctx
                     self._resume_stage_index = index
                     raise
-                self.metrics.record_failure(stage.name, elapsed)
+                self.metrics.record_failure(stage.name, elapsed, cpu)
                 ctx.quarantine_item(
                     "<stage-tick>", f"{type(exc).__name__}: {exc}"
                 )
                 return
             else:
                 elapsed = time.perf_counter() - started
-                self.metrics.record_tick(stage.name, elapsed, int(items or 0))
-                if OBS.enabled:
-                    OBS.series.record_stage(
-                        stage.name, cpu_seconds_now() - cpu0, elapsed
-                    )
+                self.metrics.record_tick(
+                    stage.name, elapsed, int(items or 0),
+                    time.process_time() - cpu_started,
+                )
                 return
 
     def step(self) -> WeekContext:

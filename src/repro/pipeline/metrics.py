@@ -1,11 +1,14 @@
 """Per-stage instrumentation for the pipeline engine.
 
-Every stage tick is timed and counted; stages additionally report an
-*items processed* gauge (FQDNs swept, changes detected, abuses flagged)
-so throughput — not just wall time — is visible per stage.  The
-registry renders as the table ``python -m repro pipeline`` prints and
-is what ``benchmarks/bench_pipeline_micro.py`` consumes instead of
-ad-hoc timers.
+Every stage tick is timed (wall and CPU) and counted; stages
+additionally report an *items processed* count (FQDNs swept, changes
+detected, abuses flagged) so throughput — not just wall time — is
+visible per stage.  This is the run's one store of stage cost: it
+renders as the table ``python -m repro pipeline`` prints, feeds the
+``profile`` report's resource table and ``--metrics-json``'s
+``resources.stages`` rows, and is what
+``benchmarks/bench_pipeline_micro.py`` consumes instead of ad-hoc
+timers.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ class StageMetrics:
     name: str
     ticks: int = 0
     wall_time: float = 0.0
+    #: Process CPU seconds, charged wherever ``wall_time`` is.
+    cpu_time: float = 0.0
     items_processed: int = 0
     setup_time: float = 0.0
     finish_time: float = 0.0
@@ -59,10 +64,13 @@ class PipelineMetrics:
             self._stages[name] = row
         return row
 
-    def record_tick(self, name: str, seconds: float, items: int = 0) -> None:
+    def record_tick(
+        self, name: str, seconds: float, items: int = 0, cpu: float = 0.0
+    ) -> None:
         row = self.stage(name)
         row.ticks += 1
         row.wall_time += seconds
+        row.cpu_time += cpu
         row.items_processed += items
 
     def record_setup(self, name: str, seconds: float) -> None:
@@ -71,17 +79,19 @@ class PipelineMetrics:
     def record_finish(self, name: str, seconds: float) -> None:
         self.stage(name).finish_time += seconds
 
-    def record_retry(self, name: str, seconds: float = 0.0) -> None:
+    def record_retry(self, name: str, seconds: float = 0.0, cpu: float = 0.0) -> None:
         """A tick attempt failed and will be re-run."""
         row = self.stage(name)
         row.retries += 1
         row.wall_time += seconds
+        row.cpu_time += cpu
 
-    def record_failure(self, name: str, seconds: float = 0.0) -> None:
+    def record_failure(self, name: str, seconds: float = 0.0, cpu: float = 0.0) -> None:
         """A tick exhausted its retries and was dead-lettered."""
         row = self.stage(name)
         row.failures += 1
         row.wall_time += seconds
+        row.cpu_time += cpu
 
     def record_skip(self, name: str) -> None:
         """A tick was skipped because an upstream dependency failed."""
@@ -90,12 +100,6 @@ class PipelineMetrics:
     def record_quarantine(self, name: str, items: int = 1) -> None:
         """The stage dead-lettered ``items`` work items this week."""
         self.stage(name).quarantined += items
-
-    def total_retries(self) -> int:
-        return sum(row.retries for row in self._stages.values())
-
-    def total_failures(self) -> int:
-        return sum(row.failures for row in self._stages.values())
 
     def total_quarantined(self) -> int:
         return sum(row.quarantined for row in self._stages.values())

@@ -95,13 +95,3 @@ class SearchEngine:
             )
         results.sort(key=lambda r: (-r.score, r.url))
         return results[:limit]
-
-    def top_hosts(self, query: str, at: datetime, limit: int = 10) -> List[str]:
-        """Distinct hosts of the top results (one slot per host)."""
-        hosts: List[str] = []
-        for result in self.search(query, at, limit=limit * 5):
-            if result.fqdn not in hosts:
-                hosts.append(result.fqdn)
-            if len(hosts) >= limit:
-                break
-        return hosts

@@ -10,27 +10,10 @@ characteristic 404 page instead.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Protocol, runtime_checkable
+from typing import Dict, Optional
 
 from repro.web.http import HttpRequest, HttpResponse, provider_404
 from repro.web.site import Site
-
-
-@runtime_checkable
-class WebHost(Protocol):
-    """A network host that also speaks HTTP and may hold certificates."""
-
-    def responds_to_icmp(self) -> bool:
-        ...
-
-    def open_tcp_ports(self) -> frozenset:
-        ...
-
-    def serve(self, request: HttpRequest) -> HttpResponse:
-        ...
-
-    def certificate_for(self, host: str):
-        ...
 
 
 class VirtualHostServer:

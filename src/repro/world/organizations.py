@@ -93,10 +93,6 @@ class Organization:
     def is_global500(self) -> bool:
         return self.global500_rank is not None
 
-    def cloud_assets(self) -> List[Asset]:
-        """Assets backed by cloud resources."""
-        return [a for a in self.assets if a.kind != AssetKind.SELF_HOSTED]
-
     def dangling_assets(self) -> List[Asset]:
         """Assets whose record currently dangles."""
         return [a for a in self.assets if a.is_dangling]

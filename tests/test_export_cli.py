@@ -133,3 +133,31 @@ def test_cli_range_edges_keep_their_meaning():
     assert config.monitor.retry.max_attempts == 1  # --retries 0: one attempt
     assert config.faults.enabled and config.faults.http_503_rate == 1
     assert (args.checkpoint_every, args.trace_sample) == (1, 1)
+
+
+@pytest.mark.parametrize("command", ["run", "report"])
+def test_cli_metrics_json_exports_one_cost_row_per_stage_and_task(tmp_path, command):
+    """``resources.stages`` comes from the engine's stage metrics: one
+    row per ticked stage with one call a week, plus one row per analysis
+    task that ran (``report`` only), name-sorted."""
+    from repro.analysis import default_registry
+    from repro.core.scenario import ScenarioConfig, build_scenario
+
+    path = tmp_path / "metrics.json"
+    argv = [command, "--scale", "tiny", "--weeks", "2", "--metrics-json", str(path)]
+    assert main(argv, out=io.StringIO()) == 0
+    stages = json.loads(path.read_text(encoding="utf-8"))["resources"]["stages"]
+    assert list(stages) == sorted(stages)
+    for row in stages.values():
+        assert set(row) == {"calls", "cpu_s", "wall_s"}
+    engine_stages = {stage.name for stage in build_scenario(ScenarioConfig.tiny()).stages}
+    ticked = {name: row for name, row in stages.items() if name in engine_stages}
+    assert set(ticked) == engine_stages
+    assert all(row["calls"] == 2 for row in ticked.values())
+    analyses = {name: row for name, row in stages.items() if name.startswith("analysis.")}
+    assert set(stages) == set(ticked) | set(analyses)
+    if command == "run":
+        assert analyses == {}
+    else:
+        assert set(analyses) == {f"analysis.{name}" for name in default_registry().names()}
+        assert all(row["calls"] == 1 for row in analyses.values())

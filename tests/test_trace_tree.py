@@ -1,10 +1,10 @@
 """Tests for causal trace trees, week series, and the Chrome export.
 
 Covers the deterministic span-id assignment rules (path ids from
-per-parent sequence counters, explicit ``seq=`` pinning), context-var
-parenting, the tracer's context-manager close-on-error contract, the
-metric-key label escaping and per-series histogram bounds fixes, the
-week-series delta math, and the two cross-run contracts: same-seed
+per-parent sequence counters), context-var parenting, the tracer's
+context-manager close-on-error contract, the metric-key label
+escaping fix, the week-series delta math, the per-stage CPU and wall
+cost rows of ``PipelineMetrics``, and the two cross-run contracts: same-seed
 sim projections (ids included) byte-identical across executors and
 between ledger and full sweeps, and the Chrome trace-event export
 loading as valid, monotonic trace JSON.
@@ -17,13 +17,11 @@ import pytest
 
 from repro.core.scenario import ScenarioConfig, build_scenario
 from repro.obs import (
-    MS_BOUNDS,
     OBS,
     BufferTracer,
     MetricsRegistry,
     TimeSeriesRecorder,
     Tracer,
-    current_span_id,
     deterministic_view,
     metric_key,
     parity_projection,
@@ -31,6 +29,7 @@ from repro.obs import (
 )
 from repro.obs.chrome import chrome_trace, render_chrome
 from repro.parallel.executor import SerialExecutor
+from repro.pipeline.metrics import PipelineMetrics
 
 T0 = datetime(2020, 1, 6)
 
@@ -53,31 +52,21 @@ def test_root_spans_get_per_name_sequence_ids():
 
 def test_nested_spans_build_path_ids_and_record_parents():
     tracer = BufferTracer()
-    with tracer.span("outer"):
-        assert current_span_id() == "outer#0"
-        with tracer.span("inner"):
-            assert current_span_id() == "outer#0/inner#0"
-        with tracer.span("inner"):
-            pass
-    assert current_span_id() is None
+    with tracer.span("outer") as outer:
+        assert outer.id == "outer#0"
+        with tracer.span("inner") as inner:
+            assert inner.id == "outer#0/inner#0"
+        with tracer.span("inner") as inner:
+            assert inner.id == "outer#0/inner#1"
+    # Closed spans leave no open parent behind: the next root restarts
+    # the path.
+    with tracer.span("after") as after:
+        assert after.id == "after#0" and after.parent is None
     # Events are emitted at span *exit*: inner spans first.
     by_name = {e["id"]: e for e in tracer.events}
     assert by_name["outer#0/inner#0"]["parent"] == "outer#0"
     assert by_name["outer#0/inner#1"]["parent"] == "outer#0"
     assert "parent" not in by_name["outer#0"]
-
-
-def test_explicit_seq_pins_the_id_regardless_of_open_order():
-    # An explicit seq makes the id reflect simulation structure, not
-    # the order spans happened to open in.
-    tracer = BufferTracer()
-    with tracer.span("sweep"):
-        with tracer.span("sweep.shard", seq=3, shard=3):
-            pass
-        with tracer.span("sweep.shard", seq=0, shard=0):
-            pass
-    ids = sorted(e["id"] for e in tracer.events if e["name"] == "sweep.shard")
-    assert ids == ["sweep#0/sweep.shard#0", "sweep#0/sweep.shard#3"]
 
 
 def test_child_sequence_counters_die_with_the_parent_span():
@@ -90,17 +79,6 @@ def test_child_sequence_counters_die_with_the_parent_span():
                 pass
     stage_ids = [e["id"] for e in tracer.events if e["name"] == "stage"]
     assert stage_ids == ["week#0/stage#0", "week#1/stage#0"]
-
-
-def test_events_record_the_enclosing_span_as_parent():
-    tracer = BufferTracer()
-    with tracer.span("outer"):
-        tracer.event("ping", detail=1)
-    tracer.event("pong")
-    ping = next(e for e in tracer.events if e["name"] == "ping")
-    pong = next(e for e in tracer.events if e["name"] == "pong")
-    assert ping["parent"] == "outer#0"
-    assert "parent" not in pong
 
 
 # -- satellite fixes -------------------------------------------------------
@@ -138,21 +116,6 @@ def test_registry_counters_stay_distinct_under_hostile_labels():
     assert len(registry.counters()) == 2
 
 
-def test_observe_accepts_per_series_bounds():
-    registry = MetricsRegistry()
-    registry.observe("tick_ms", 150.0, bounds=MS_BOUNDS)
-    registry.observe("tick_ms", 150.0)  # existing series keeps its bounds
-    hist = registry.histogram("tick_ms")
-    assert hist.bounds == MS_BOUNDS
-    assert hist.count == 2
-    # 150ms lands in a real bucket, not the overflow tail.
-    assert hist.counts[-1] == 0
-    # Default-bounds series saturate immediately at this scale — the
-    # motivating bug.
-    registry.observe("bad_ms", 150.0)
-    assert registry.histogram("bad_ms").counts[-1] == 1
-
-
 # -- week series -----------------------------------------------------------
 
 
@@ -178,27 +141,38 @@ def test_series_export_and_deterministic_view(tmp_path):
     series = TimeSeriesRecorder()
     registry.inc("c", 3)
     series.snapshot(0, T0, registry)
-    series.record_stage("monitor-sweep", cpu_s=0.5, wall_s=0.6)
-    export = series.export(registry, run={"seed": 7})
+    export = series.export(
+        registry, run={"seed": 7},
+        stages={"monitor-sweep": (1, 0.5, 0.6), "detect": (2, 0.123456, 0.2)},
+    )
     assert export["schema"] == "repro.metrics/1"
     assert export["counters"] == {"c": 3}
-    assert export["resources"]["stages"]["monitor-sweep"]["calls"] == 1
+    stages = export["resources"]["stages"]
+    assert list(stages) == ["detect", "monitor-sweep"]  # name-sorted
+    assert stages["monitor-sweep"] == {"calls": 1, "cpu_s": 0.5, "wall_s": 0.6}
+    assert stages["detect"]["cpu_s"] == 0.1235  # rounded to 4 places
     # The deterministic view drops run metadata, resources and sim
     # stamps — only seed-determined content survives.
     view = deterministic_view(export)
     assert set(view) == {"schema", "weeks", "counters"}
     assert view["weeks"] == [{"week": 0, "deltas": {"c": 3}}]
-    # And it round-trips through JSON (what perf --check loads).
+    # And it round-trips through JSON (what repro perf loads).
     assert deterministic_view(json.loads(json.dumps(export))) == view
 
 
 def test_stage_rows_accumulate():
-    series = TimeSeriesRecorder()
-    series.record_stage("detect", 0.1, 0.2)
-    series.record_stage("detect", 0.3, 0.4)
-    row = series.stage_rows()["detect"]
-    assert row["calls"] == 2
-    assert row["cpu_s"] == pytest.approx(0.4)
+    # CPU is charged wherever wall time is: ticks, retried attempts and
+    # dead-lettered ones.  Only ticks count as calls.
+    metrics = PipelineMetrics()
+    metrics.record_tick("detect", 0.2, items=5, cpu=0.1)
+    metrics.record_tick("detect", 0.4, cpu=0.3)
+    metrics.record_retry("detect", 0.05, 0.01)
+    metrics.record_failure("detect", 0.06, 0.02)
+    (row,) = metrics.stages()
+    assert (row.ticks, row.retries, row.failures) == (2, 1, 1)
+    assert row.wall_time == pytest.approx(0.71)
+    assert row.cpu_time == pytest.approx(0.43)
+    assert row.items_processed == 5
 
 
 # -- cross-executor projection parity --------------------------------------
@@ -267,7 +241,7 @@ def test_chrome_export_is_valid_trace_event_json():
     trace_events = doc["traceEvents"]
     assert trace_events
     for entry in trace_events:
-        assert entry["ph"] in ("X", "i", "M")
+        assert entry["ph"] in ("X", "M")
         assert isinstance(entry["pid"], int) and isinstance(entry["tid"], int)
         if entry["ph"] != "M":
             assert isinstance(entry["ts"], int) and entry["ts"] >= 0
