@@ -17,36 +17,12 @@ See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for
 the paper-vs-measured comparison of every table and figure.
 """
 
-from repro.core.collection import collect_fqdns
-from repro.core.detection import AbuseDataset, AbuseDetector, AbuseRecord
-from repro.core.scenario import (
-    ScenarioConfig,
-    ScenarioResult,
-    build_scenario,
-    run_scenario,
-)
-from repro.pipeline import PipelineEngine, PipelineMetrics, Stage, WeekContext
-from repro.sim.clock import SimClock
-from repro.sim.rng import RngStreams
-from repro.world.internet import Internet
+from repro.core.scenario import ScenarioConfig, run_scenario
 
 __version__ = "1.0.0"
 
 __all__ = [
     "ScenarioConfig",
-    "ScenarioResult",
-    "build_scenario",
     "run_scenario",
-    "PipelineEngine",
-    "PipelineMetrics",
-    "Stage",
-    "WeekContext",
-    "collect_fqdns",
-    "AbuseDataset",
-    "AbuseDetector",
-    "AbuseRecord",
-    "SimClock",
-    "RngStreams",
-    "Internet",
     "__version__",
 ]

@@ -10,34 +10,22 @@ this package.
 """
 
 from repro.analysis.engine import (
-    AnalysisOutcome,
     AnalysisRegistry,
     AnalysisRun,
     AnalysisTask,
     run_analyses,
 )
-from repro.analysis.export import REPORT_SCHEMA, jsonify, report_json, run_to_dict
-from repro.analysis.tasks import (
-    DEFAULT_SECTIONS,
-    ReportSection,
-    default_registry,
-    default_tasks,
-    render_sections,
-)
+from repro.analysis.export import REPORT_SCHEMA, report_json
+from repro.analysis.tasks import DEFAULT_SECTIONS, default_registry, default_tasks
 
 __all__ = [
-    "AnalysisOutcome",
     "AnalysisRegistry",
     "AnalysisRun",
     "AnalysisTask",
     "run_analyses",
     "REPORT_SCHEMA",
-    "jsonify",
     "report_json",
-    "run_to_dict",
     "DEFAULT_SECTIONS",
-    "ReportSection",
     "default_registry",
     "default_tasks",
-    "render_sections",
 ]

@@ -10,20 +10,3 @@ certificate issuance and cookie theft — all with the shared
 identifiers (phone numbers, chat handles, shortener links, backend
 IPs) that Section 6's clustering later recovers.
 """
-
-from repro.attacker.identifiers import IdentifierPool
-from repro.attacker.groups import AttackerGroup, GroupBehavior, make_default_groups
-from repro.attacker.scanner import DanglingScanner, TakeoverCandidate
-from repro.attacker.campaign import CampaignOrchestrator
-from repro.attacker.content import AbuseContentFactory
-
-__all__ = [
-    "IdentifierPool",
-    "AttackerGroup",
-    "GroupBehavior",
-    "make_default_groups",
-    "DanglingScanner",
-    "TakeoverCandidate",
-    "CampaignOrchestrator",
-    "AbuseContentFactory",
-]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from datetime import datetime
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.attacker.groups import AttackerGroup
 from repro.attacker.scanner import DanglingScanner, TakeoverCandidate

@@ -12,7 +12,7 @@ simulated click-throughs generate revenue events.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from typing import Dict, List, Optional, Tuple
 
@@ -57,12 +57,6 @@ class MonetizationLedger:
 
     def events(self) -> List[ReferralEvent]:
         return list(self._events)
-
-    def payout_for(self, referral_code: str) -> float:
-        """Total USD owed to one referral code."""
-        return sum(
-            e.payout_usd for e in self._events if e.referral_code == referral_code
-        )
 
     def payouts(self) -> List[Tuple[str, float]]:
         """Per-code payouts, highest first."""

@@ -10,8 +10,7 @@ is enforced upstream by the browser/cookie-jar model, not here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime
-from typing import List, Tuple
+from typing import List
 
 from repro.cloud.capabilities import AccessLevel
 from repro.web.cookies import Cookie

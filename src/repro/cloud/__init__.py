@@ -8,43 +8,3 @@ names, and lottery-assigned dedicated IPs — plus the virtual-hosting
 edge layer, custom-domain aliasing with CNAME verification, and
 provider-published IP ranges/suffix lists (Appendix A.1).
 """
-
-from repro.cloud.capabilities import (
-    AccessLevel,
-    Capability,
-    capabilities_for_access,
-)
-from repro.cloud.provider import (
-    CloudProvider,
-    CustomDomainError,
-    ProvisioningError,
-    ReleaseError,
-)
-from repro.cloud.resources import CloudResource, ResourceStatus
-from repro.cloud.specs import (
-    CloudServiceSpec,
-    NamingPolicy,
-    DEFAULT_SERVICE_SPECS,
-    cloud_suffixes,
-    spec_by_key,
-)
-from repro.cloud.catalog import CloudCatalog, build_catalog
-
-__all__ = [
-    "AccessLevel",
-    "Capability",
-    "capabilities_for_access",
-    "CloudProvider",
-    "CloudResource",
-    "ResourceStatus",
-    "CloudServiceSpec",
-    "NamingPolicy",
-    "DEFAULT_SERVICE_SPECS",
-    "cloud_suffixes",
-    "spec_by_key",
-    "CloudCatalog",
-    "build_catalog",
-    "ProvisioningError",
-    "ReleaseError",
-    "CustomDomainError",
-]

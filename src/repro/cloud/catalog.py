@@ -51,20 +51,6 @@ class CloudCatalog:
         for provider in self.providers.values():
             provider.attach_resolver(resolver)
 
-    def all_resources(self) -> List:
-        """Every resource across every provider, creation order per provider."""
-        out = []
-        for provider in self.providers.values():
-            out.extend(provider.all_resources())
-        return out
-
-    def find_service_owner(self, service_key: str) -> CloudProvider:
-        """The provider offering ``service_key``."""
-        for provider in self.providers.values():
-            if service_key in provider.specs:
-                return provider
-        raise KeyError(service_key)
-
 
 def build_catalog(
     zones: ZoneRegistry,

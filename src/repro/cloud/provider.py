@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cloud.resources import CloudResource, ResourceStatus
 from repro.cloud.specs import CloudServiceSpec, NamingPolicy
-from repro.dns.names import is_subdomain_of, normalize_name
+from repro.dns.names import normalize_name
 from repro.dns.records import RRType, ResourceRecord
 from repro.dns.resolver import Resolver
 from repro.dns.zone import ZoneRegistry
@@ -113,7 +113,6 @@ class CloudProvider:
 
         self._active: Dict[Tuple[str, str], CloudResource] = {}
         self._released_at: Dict[Tuple[str, str], datetime] = {}
-        self._all_resources: List[CloudResource] = []
         # Keyed by (service_key, name) — unique among *active* resources
         # and, unlike id(), stable across pickle round-trips (checkpoint
         # resume restores the engine in a fresh process).
@@ -176,14 +175,6 @@ class CloudProvider:
     @property
     def edges(self) -> List[VirtualHostServer]:
         return list(self._edges)
-
-    def all_resources(self) -> List[CloudResource]:
-        """Every resource ever provisioned, in creation order."""
-        return list(self._all_resources)
-
-    def get_active(self, service_key: str, name: str) -> Optional[CloudResource]:
-        """The active resource with this service/name, if any."""
-        return self._active.get((service_key, name))
 
     def is_name_available(
         self, service_key: str, name: str, at: Optional[datetime] = None
@@ -285,7 +276,6 @@ class CloudProvider:
         self, resource: CloudResource, edge: Optional[VirtualHostServer], at: datetime
     ) -> None:
         self._active[(resource.service_key, resource.name)] = resource
-        self._all_resources.append(resource)
         if edge is not None:
             self._resource_edges[(resource.service_key, resource.name)] = edge
         self._adopt_site(resource)

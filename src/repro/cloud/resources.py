@@ -8,7 +8,7 @@ from datetime import datetime
 from typing import List, Optional
 
 from repro.cloud.capabilities import AccessLevel, capabilities_for_access
-from repro.cloud.specs import CloudServiceSpec, NamingPolicy
+from repro.cloud.specs import CloudServiceSpec
 from repro.web.site import StaticSite
 
 
@@ -56,11 +56,6 @@ class CloudResource:
     @property
     def access(self) -> AccessLevel:
         return self.spec.access
-
-    @property
-    def is_user_nameable(self) -> bool:
-        """Whether the identity was freely chosen (Section 4.3's target)."""
-        return self.spec.naming == NamingPolicy.FREETEXT
 
     @property
     def active(self) -> bool:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.cloud.capabilities import AccessLevel

@@ -8,29 +8,3 @@ vocabulary mirrors the paper's findings: Indonesian gambling terms
 dominate (Tables 1 and 5), followed by adult content, with Japanese
 auto-generated spam for the Japanese Keyword Hack (Section 5.2.1).
 """
-
-from repro.content.vocab import (
-    ADULT_KEYWORDS,
-    BENIGN_BUSINESS_WORDS,
-    GAMBLING_KEYWORDS,
-    JAPANESE_SPAM_WORDS,
-    MAINTENANCE_PHRASES,
-    PHARMA_KEYWORDS,
-    STOPWORDS,
-    Topic,
-    keywords_for_topic,
-)
-from repro.content.benign import BenignContentFactory
-
-__all__ = [
-    "Topic",
-    "GAMBLING_KEYWORDS",
-    "ADULT_KEYWORDS",
-    "PHARMA_KEYWORDS",
-    "JAPANESE_SPAM_WORDS",
-    "BENIGN_BUSINESS_WORDS",
-    "MAINTENANCE_PHRASES",
-    "STOPWORDS",
-    "keywords_for_topic",
-    "BenignContentFactory",
-]

@@ -10,12 +10,10 @@ redesigns.
 from __future__ import annotations
 
 import random
-from datetime import datetime
-from typing import List, Optional
+from typing import List
 
 from repro.content.vocab import BENIGN_BUSINESS_WORDS
 from repro.web.html import HtmlDocument, Link, Script
-from repro.web.sitemap import Sitemap
 
 
 class BenignContentFactory:
@@ -107,17 +105,6 @@ class BenignContentFactory:
         ]
         doc.links = [Link(href=f"https://ads.parking-net.example/{offer}", text=offer.title())]
         return doc
-
-    def benign_sitemap(self, fqdn: str, page_count: int, at: Optional[datetime] = None) -> Sitemap:
-        """A modest, human-scale sitemap."""
-        sitemap = Sitemap()
-        paths = ["about", "products", "careers", "contact", "news", "support",
-                 "privacy", "terms", "blog", "events"]
-        for index in range(min(page_count, 200)):
-            slug = paths[index % len(paths)]
-            suffix = "" if index < len(paths) else f"-{index}"
-            sitemap.add(f"https://{fqdn}/{slug}{suffix}", lastmod=at)
-        return sitemap
 
     def _sample_words(self, count: int) -> List[str]:
         return self._rng.sample(list(BENIGN_BUSINESS_WORDS), count)

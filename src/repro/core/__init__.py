@@ -18,23 +18,3 @@ else in :mod:`repro` is substrate.  The pipeline mirrors Figure 25:
 
 :mod:`repro.core.scenario` drives a full three-year world end to end.
 """
-
-from repro.core.collection import FqdnCollector, collect_fqdns
-from repro.core.detection import AbuseDataset, AbuseDetector, AbuseRecord
-from repro.core.monitoring import MonitorConfig, SnapshotFeatures, SnapshotStore, WeeklyMonitor
-from repro.core.scenario import ScenarioConfig, ScenarioResult, run_scenario
-
-__all__ = [
-    "collect_fqdns",
-    "FqdnCollector",
-    "MonitorConfig",
-    "SnapshotFeatures",
-    "SnapshotStore",
-    "WeeklyMonitor",
-    "AbuseDetector",
-    "AbuseDataset",
-    "AbuseRecord",
-    "ScenarioConfig",
-    "ScenarioResult",
-    "run_scenario",
-]

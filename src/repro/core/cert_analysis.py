@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.core.detection import AbuseDataset
 from repro.dns.names import registered_domain

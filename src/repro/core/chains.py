@@ -16,7 +16,7 @@ import enum
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.cloud.specs import NamingPolicy, parse_generated_fqdn
 from repro.dns.names import Name

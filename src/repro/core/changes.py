@@ -9,8 +9,8 @@ snapshots enter signature extraction and matching.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.core.monitoring import SnapshotFeatures
 
@@ -45,19 +45,6 @@ class ChangeEvent:
                 self.keywords_changed,
             )
         )
-
-    @property
-    def change_kinds(self) -> FrozenSet[str]:
-        """Symbolic names of the triggered change axes."""
-        kinds = []
-        for name in (
-            "dns_changed", "reactivated", "went_dark", "content_changed",
-            "language_changed", "sitemap_appeared", "sitemap_jumped",
-            "keywords_changed",
-        ):
-            if getattr(self, name):
-                kinds.append(name)
-        return frozenset(kinds)
 
 
 def detect_changes(

@@ -11,8 +11,8 @@ read off — 1,798 clusters, mostly singletons, plus one giant
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.identifiers import IdentifierMap
 from repro.dns.names import Name
@@ -72,14 +72,6 @@ class ClusteringReport:
     @property
     def largest(self) -> Optional[IdentifierCluster]:
         return self.clusters[0] if self.clusters else None
-
-    @property
-    def singleton_share(self) -> float:
-        """Share of clusters with one or two identifiers (the long tail)."""
-        if not self.clusters:
-            return 0.0
-        small = sum(1 for c in self.clusters if c.identifier_count <= 2)
-        return small / len(self.clusters)
 
     def covered_domains(self) -> Set[Name]:
         covered: Set[Name] = set()

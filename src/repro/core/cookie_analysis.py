@@ -11,7 +11,7 @@ dataset's episode windows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set
+from typing import List, Set
 
 from repro.core.detection import AbuseDataset
 from repro.intel.darknet import CookieLeak, DarknetFeed

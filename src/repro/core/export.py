@@ -1,31 +1,25 @@
-"""JSON export/import of measurement results.
+"""JSON export of measurement results.
 
 A measurement pipeline's output outlives the pipeline: the paper's
 dataset fed notifications, follow-up analyses and (eventually) this
-reproduction.  These helpers serialize the abuse dataset and the
-ground-truth log to plain JSON-compatible structures so downstream
-tooling — or a later session — can consume them without the simulator.
+reproduction.  These helpers serialize the abuse dataset to plain
+JSON-compatible structures so downstream tooling can consume it
+without the simulator.
 """
 
 from __future__ import annotations
 
 import json
 from datetime import datetime
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
-from repro.content.vocab import Topic
-from repro.core.detection import AbuseDataset, AbuseEpisode, AbuseRecord
-from repro.world.ground_truth import GroundTruthLog
+from repro.core.detection import AbuseDataset, AbuseRecord
 
 _TIME_FORMAT = "%Y-%m-%dT%H:%M:%S"
 
 
 def _dump_time(value: Optional[datetime]) -> Optional[str]:
     return value.strftime(_TIME_FORMAT) if value is not None else None
-
-
-def _load_time(value: Optional[str]) -> Optional[datetime]:
-    return datetime.strptime(value, _TIME_FORMAT) if value is not None else None
 
 
 def record_to_dict(record: AbuseRecord) -> Dict[str, Any]:
@@ -53,32 +47,6 @@ def record_to_dict(record: AbuseRecord) -> Dict[str, Any]:
     }
 
 
-def record_from_dict(data: Dict[str, Any]) -> AbuseRecord:
-    """Inverse of :func:`record_to_dict`."""
-    record = AbuseRecord(
-        fqdn=data["fqdn"],
-        first_detected=_load_time(data["first_detected"]),
-    )
-    for episode in data.get("episodes", []):
-        record.episodes.append(
-            AbuseEpisode(
-                started_at=_load_time(episode["started_at"]),
-                last_matched=_load_time(episode["last_matched"]),
-                ended_at=_load_time(episode.get("ended_at")),
-            )
-        )
-    record.signature_ids = set(data.get("signature_ids", []))
-    record.indicator_combinations = {
-        frozenset(combo) for combo in data.get("indicator_combinations", [])
-    }
-    record.topics = {Topic(t) for t in data.get("topics", [])}
-    record.keywords = set(data.get("keywords", []))
-    record.max_sitemap_count = data.get("max_sitemap_count", -1)
-    record.max_sitemap_size = data.get("max_sitemap_size", -1)
-    record.match_count = data.get("match_count", 0)
-    return record
-
-
 def dataset_to_json(dataset: AbuseDataset, indent: Optional[int] = None) -> str:
     """Serialize a full abuse dataset to a JSON string."""
     payload = {
@@ -86,31 +54,3 @@ def dataset_to_json(dataset: AbuseDataset, indent: Optional[int] = None) -> str:
         "monthly_cumulative": dict(dataset.monthly_cumulative),
     }
     return json.dumps(payload, indent=indent, ensure_ascii=False)
-
-
-def dataset_from_json(text: str) -> AbuseDataset:
-    """Inverse of :func:`dataset_to_json`."""
-    payload = json.loads(text)
-    dataset = AbuseDataset()
-    for data in payload.get("records", []):
-        record = record_from_dict(data)
-        dataset._records[record.fqdn] = record  # rebuilding internal state
-    dataset.monthly_cumulative.update(payload.get("monthly_cumulative", {}))
-    return dataset
-
-
-def ground_truth_to_json(ground_truth: GroundTruthLog, indent: Optional[int] = None) -> str:
-    """Serialize the ground-truth hijack log (simulation-only data)."""
-    rows: List[Dict[str, Any]] = []
-    for record in ground_truth.all_records():
-        rows.append(
-            {
-                "fqdn": record.fqdn,
-                "attacker_group": record.attacker_group,
-                "service": record.resource.service_key,
-                "provider": record.resource.provider,
-                "taken_over_at": _dump_time(record.taken_over_at),
-                "remediated_at": _dump_time(record.remediated_at),
-            }
-        )
-    return json.dumps({"hijacks": rows}, indent=indent, ensure_ascii=False)

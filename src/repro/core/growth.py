@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.core.collection import FqdnCollector
 from repro.core.detection import AbuseDataset

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.attacker.identifiers import phone_country
 from repro.core.detection import AbuseDataset

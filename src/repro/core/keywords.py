@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional
 
 from repro.content.vocab import STOPWORDS, Topic, keywords_for_topic
 from repro.web.html import HtmlDocument
@@ -113,13 +113,3 @@ def abuse_vocabulary_hits(keywords: Iterable[str]) -> int:
     """Total overlap with any abuse vocabulary (analyst triage signal)."""
     scores = topic_scores(keywords)
     return sum(scores[topic] for topic in _ABUSE_TOPICS)
-
-
-def keyword_frequency_table(
-    keyword_sets: Sequence[Iterable[str]], top: int = 12
-) -> List[Tuple[str, int]]:
-    """Table 1 / Table 5: the most frequent keywords across pages."""
-    counts: Counter = Counter()
-    for keywords in keyword_sets:
-        counts.update(keywords)
-    return counts.most_common(top)

@@ -254,10 +254,6 @@ class SnapshotStore:
     def fqdns(self) -> List[Name]:
         return sorted(self._history)
 
-    def state_count(self) -> int:
-        """Total stored states across all FQDNs."""
-        return sum(len(h) for h in self._history.values())
-
 
 @dataclass
 class ExtractionCache:

@@ -11,7 +11,7 @@ on hijack durations — an ablation the paper could not run on itself.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Dict, List, Optional, Sequence
 

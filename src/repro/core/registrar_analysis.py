@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from repro.core.detection import AbuseDataset
 from repro.whois.registry import DomainRegistry

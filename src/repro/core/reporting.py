@@ -44,18 +44,6 @@ def render_histogram(
     return "\n".join(lines)
 
 
-def render_series(
-    points: Sequence[Tuple[str, float]], title: Optional[str] = None
-) -> str:
-    """Render an (x, y) series as aligned rows."""
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    for x, y in points:
-        lines.append(f"{str(x).ljust(12)} {_fmt(y)}")
-    return "\n".join(lines)
-
-
 def percent(value: float, digits: int = 1) -> str:
     """Format a ratio as a percentage string."""
     return f"{value * 100:.{digits}f}%"

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
-from typing import List, Optional, Set, Tuple
+from typing import List, Set, Tuple
 
 from repro.core.detection import AbuseDataset
 from repro.dns.names import registered_domain

@@ -42,7 +42,7 @@ from repro.core.stages import (
     candidate_names,
 )
 from repro.faults.plan import FaultConfig, FaultPlan
-from repro.faults.retry import CircuitBreaker, RetryPolicy
+from repro.faults.retry import CircuitBreaker
 from repro.parallel.executor import ProcessExecutor, SweepExecutor
 from repro.pipeline.context import QuarantineRecord
 from repro.pipeline.engine import PipelineEngine
@@ -73,23 +73,15 @@ class ScenarioConfig:
     syndicate_cells: int = 4
     users_per_org: int = 2
     user_org_share: float = 0.35
-    browse_visits_per_user: int = 2
     edge_icmp_drop_rate: float = 0.28
     #: Countermeasure knobs (Section 7 recommendations).
     reregistration_cooldown: timedelta = timedelta(0)
     randomize_names: bool = False
-    #: How often the collector re-ingests the passive-DNS feed.
-    collector_refresh_weeks: int = 4
     #: Run the notification campaign: newly detected abuses trigger
     #: victim notifications, accelerating remediation (Section 1).
     notify_owners: bool = False
     #: Deterministic fault injection (chaos runs); quiescent by default.
     faults: FaultConfig = field(default_factory=FaultConfig)
-    #: Consecutive failures before an edge's circuit trips; the breaker
-    #: half-opens after one simulated week.
-    breaker_threshold: int = 5
-    #: Retry budget for a stage tick that raises (1 = fail immediately).
-    stage_retry_attempts: int = 1
 
     @classmethod
     def tiny(cls, seed: int = 42) -> "ScenarioConfig":
@@ -188,7 +180,7 @@ def build_scenario(config: Optional[ScenarioConfig] = None) -> PipelineEngine:
         # is zero draws nothing, so it leaves the breaker out and the
         # fused sampling path eligible.
         if config.faults.any_active:
-            breaker = CircuitBreaker(failure_threshold=config.breaker_threshold)
+            breaker = CircuitBreaker()
     # The world is built on a healthy Internet — chaos begins only once
     # the weekly pipeline starts ticking.  This keeps the bootstrap
     # (population, initial collector ingest) identical between chaos
@@ -260,10 +252,8 @@ def build_scenario(config: Optional[ScenarioConfig] = None) -> PipelineEngine:
     stages = [
         WorldStage(engine),
         OrchestratorStage(orchestrator),
-        UsersStage(users, config.browse_visits_per_user),
-        CollectorRefreshStage(
-            collector, internet, organizations, config.collector_refresh_weeks
-        ),
+        UsersStage(users),
+        CollectorRefreshStage(collector, internet, organizations),
         MonitorSweepStage(monitor, collector, executor=executor),
         ChangeDetectStage(),
         DetectStage(detector),
@@ -272,7 +262,6 @@ def build_scenario(config: Optional[ScenarioConfig] = None) -> PipelineEngine:
     ]
     return PipelineEngine(
         stages, clock, streams, payload=result,
-        stage_retry=RetryPolicy(max_attempts=max(1, config.stage_retry_attempts)),
         # The weekly loop must survive a hostile Internet: a failing
         # stage dead-letters its tick, it never aborts the run.
         on_stage_error="degrade",

@@ -9,7 +9,7 @@ inherited authority boosts the attacker's pages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from typing import List, Sequence, Set, Tuple
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.core.detection import AbuseDataset
@@ -63,10 +63,6 @@ class SeoReport:
     total_pages_examined: int
     pages_with_meta_keywords: int
     top_meta_keywords: List[Tuple[str, int]]
-
-    @property
-    def total_sites(self) -> int:
-        return len(self.profiles)
 
     @property
     def seo_share(self) -> float:

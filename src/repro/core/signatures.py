@@ -29,17 +29,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from repro.core.keywords import abuse_vocabulary_hits
 from repro.core.monitoring import SnapshotFeatures
 
-# The token-extraction helpers live in ``repro.core.sigindex`` (below
-# the snapshot store in the import graph, so ``SnapshotFeatures`` can
-# derive and keep its own sets); re-exported here, their historical
-# home, for callers that import them from it.
-from repro.core.sigindex import (  # noqa: F401  (re-exports)
-    MAINTENANCE_MARKERS,
-    external_hosts,
-    facade_markers,
-    page_tokens,
-)
-
 
 @dataclass(frozen=True)
 class Signature:

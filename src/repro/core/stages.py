@@ -70,13 +70,14 @@ class UsersStage(Stage):
     """Simulated users browse (and leak cookies to hijacked pages)."""
 
     name = "users"
+    #: Pages each simulated user loads per week.
+    visits_per_user = 2
 
-    def __init__(self, users: UserPopulation, visits_per_user: int):
+    def __init__(self, users: UserPopulation):
         self._users = users
-        self._visits = visits_per_user
 
     def tick(self, ctx: WeekContext) -> Optional[int]:
-        return self._users.weekly_browse(ctx.at, self._visits)
+        return self._users.weekly_browse(ctx.at, self.visits_per_user)
 
 
 def candidate_names(
@@ -98,23 +99,23 @@ class CollectorRefreshStage(Stage):
     """Periodic re-ingest of the passive-DNS candidate feed (§3.1)."""
 
     name = "collector-refresh"
+    #: Weeks between re-ingests of the passive-DNS feed.
+    refresh_weeks = 4
 
     def __init__(
         self,
         collector: FqdnCollector,
         internet: Internet,
         organizations: Sequence[Organization],
-        refresh_weeks: int,
     ):
         self._collector = collector
         self._internet = internet
         # Shared reference on purpose: the world engine grows this list
         # as the simulation runs, and the feed must see new orgs.
         self._organizations = organizations
-        self._refresh_weeks = max(1, refresh_weeks)
 
     def tick(self, ctx: WeekContext) -> Optional[int]:
-        if ctx.week_index % self._refresh_weeks != 0:
+        if ctx.week_index % self.refresh_weeks != 0:
             return 0
         return self._collector.ingest(
             candidate_names(self._internet, self._organizations), ctx.at

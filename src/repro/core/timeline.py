@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
-from typing import List, Optional
+from typing import List
 
-from repro.core.detection import AbuseDataset
 from repro.core.scenario import ScenarioResult
 from repro.dns.names import Name
 from repro.sim.events import EventLog
@@ -35,24 +34,9 @@ class IncidentTimeline:
     fqdn: Name
     entries: List[TimelineEntry]
 
-    def stage_at(self, stage: str) -> Optional[datetime]:
-        """Timestamp of the first entry of ``stage``, or ``None``."""
-        for entry in self.entries:
-            if entry.stage == stage:
-                return entry.at
-        return None
-
     @property
     def stages(self) -> List[str]:
         return [entry.stage for entry in self.entries]
-
-    def gap_days(self, earlier: str, later: str) -> Optional[float]:
-        """Days between two stages, or ``None`` if either is missing."""
-        start = self.stage_at(earlier)
-        end = self.stage_at(later)
-        if start is None or end is None:
-            return None
-        return (end - start).total_seconds() / 86_400.0
 
     def render(self) -> str:
         """A human-readable chronology."""
@@ -96,12 +80,3 @@ def build_timeline(result: ScenarioResult, fqdn: Name) -> IncidentTimeline:
         entries.append(TimelineEntry(event.at, "remediated"))
     entries.sort(key=lambda e: (e.at, e.stage))
     return IncidentTimeline(fqdn=fqdn, entries=entries)
-
-
-def build_all_timelines(result: ScenarioResult) -> List[IncidentTimeline]:
-    """Timelines for every detected abuse, ordered by first detection."""
-    timelines = [
-        build_timeline(result, record.fqdn) for record in result.dataset.records()
-    ]
-    timelines.sort(key=lambda t: t.stage_at("detected") or datetime.max)
-    return timelines

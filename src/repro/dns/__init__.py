@@ -8,36 +8,3 @@ NXDOMAIN, zone mutation with timestamps (needed for the hijack-duration
 analysis of Section 4.4) — plus a FarSight-style passive DNS feed used
 for subdomain discovery (Section 3.1).
 """
-
-from repro.dns.names import (
-    Name,
-    is_subdomain_of,
-    normalize_name,
-    parent_name,
-    registered_domain,
-    split_name,
-    tld_of,
-)
-from repro.dns.records import RRType, ResourceRecord
-from repro.dns.resolver import Resolver, ResolutionResult, ResolutionStatus
-from repro.dns.passive_dns import PassiveDNS, PassiveDNSObservation
-from repro.dns.zone import Zone, ZoneRegistry
-
-__all__ = [
-    "Name",
-    "normalize_name",
-    "split_name",
-    "parent_name",
-    "is_subdomain_of",
-    "registered_domain",
-    "tld_of",
-    "RRType",
-    "ResourceRecord",
-    "Resolver",
-    "ResolutionResult",
-    "ResolutionStatus",
-    "PassiveDNS",
-    "PassiveDNSObservation",
-    "Zone",
-    "ZoneRegistry",
-]

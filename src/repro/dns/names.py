@@ -124,14 +124,3 @@ def registered_domain(name: Name) -> Optional[Name]:
 def tld_of(name: Name) -> str:
     """The rightmost label of ``name`` (the paper's Table 6 unit)."""
     return split_name(name)[-1]
-
-
-def subdomain_labels(name: Name, registered: Optional[Name] = None) -> List[str]:
-    """Labels of ``name`` left of its registered domain (may be empty)."""
-    normalized = normalize_name(name)
-    base = registered if registered is not None else registered_domain(normalized)
-    if base is None or normalized == base:
-        return []
-    if not normalized.endswith("." + base):
-        raise InvalidNameError(f"{name!r} is not under {base!r}")
-    return normalized[: -(len(base) + 1)].split(".")

@@ -92,11 +92,6 @@ class PassiveDNS:
     def __len__(self) -> int:
         return len(self._observations)
 
-    def observations_for(self, name: Name) -> List[PassiveDNSObservation]:
-        """All observations whose record name is exactly ``name``."""
-        normalized = normalize_name(name)
-        return [o for o in self._observations.values() if o.record.name == normalized]
-
     def subdomains_of(self, apex: Name) -> List[Name]:
         """Every observed name at or under ``apex`` — the FarSight query.
 

@@ -125,11 +125,6 @@ class Zone:
         """The full mutation history, oldest first."""
         return list(self._history)
 
-    def history_for(self, name: Name) -> List[ZoneChange]:
-        """Mutations affecting ``name``, oldest first."""
-        normalized = normalize_name(name)
-        return [change for change in self._history if change.record.name == normalized]
-
     # -- mutation ----------------------------------------------------------
 
     def add(self, record: ResourceRecord, at: datetime) -> ResourceRecord:

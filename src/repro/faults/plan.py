@@ -141,10 +141,6 @@ class FaultPlan:
         self.retry_rng = streams.get("faults:retry-jitter")
         self._suppress = 0
 
-    @classmethod
-    def from_seed(cls, config: FaultConfig, seed: int) -> "FaultPlan":
-        return cls(config, RngStreams(seed))
-
     # -- control-plane suppression ---------------------------------------
 
     @property

@@ -11,7 +11,7 @@ on the *simulated* clock, so chaos runs replay exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Dict, List, Optional, Tuple
 
@@ -53,10 +53,6 @@ class RetryPolicy:
         """The default resilient profile: 2s base, doubling, 2min cap."""
         return cls(max_attempts=attempts)
 
-    @property
-    def retries_enabled(self) -> bool:
-        return self.max_attempts > 1
-
     def backoff_delay(self, attempt: int, rng: Optional[random.Random] = None) -> float:
         """Simulated seconds to wait after failed attempt ``attempt`` (1-based)."""
         if attempt < 1:
@@ -65,13 +61,6 @@ class RetryPolicy:
         if rng is not None and self.jitter > 0:
             delay *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
         return delay
-
-    def backoff_budget(self, rng: Optional[random.Random] = None) -> float:
-        """Total simulated delay if every attempt fails (timeout accounting)."""
-        return sum(
-            self.backoff_delay(attempt, rng)
-            for attempt in range(1, self.max_attempts)
-        )
 
 
 #: Circuit states, in the classic three-state protocol.
@@ -184,10 +173,6 @@ class CircuitBreaker:
     def state_of(self, key: str) -> str:
         circuit = self._circuits.get(key)
         return circuit.state if circuit is not None else CLOSED
-
-    def open_edges(self) -> List[str]:
-        """Edges currently open (sorted, for deterministic reporting)."""
-        return sorted(k for k, c in self._circuits.items() if c.state == OPEN)
 
     def rows(self) -> List[Tuple[str, str, int]]:
         """Render-ready (edge, state, consecutive failures) rows."""

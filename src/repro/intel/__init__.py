@@ -6,15 +6,3 @@ flags, Figure 19 / Section 5.4), a darknet leak feed for stolen
 authentication cookies (Section 5.5), and a URL-shortener service whose
 links serve as attacker identifiers (Section 6).
 """
-
-from repro.intel.virustotal import BinarySample, VirusTotalService
-from repro.intel.darknet import CookieLeak, DarknetFeed
-from repro.intel.shorteners import UrlShortener
-
-__all__ = [
-    "BinarySample",
-    "VirusTotalService",
-    "CookieLeak",
-    "DarknetFeed",
-    "UrlShortener",
-]

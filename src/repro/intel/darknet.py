@@ -4,17 +4,18 @@ Section 5.5: since server-side exfiltration is invisible, the paper
 looked for stolen *authentication* cookies turning up in darknet leaks
 during each domain's hijack window (83 cookies, 3 subdomains, 53
 victim IPs, via a threat-intel partner).  Attackers in the simulation
-post cookies they capture here; the analysis side queries by domain
-and time window, exactly as the collaboration did.
+post cookies they capture here; the analysis side reads every leak
+back and matches it to its domain's hijack window, as the collaboration
+did.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
-from typing import List, Optional
+from typing import List
 
-from repro.dns.names import Name, is_subdomain_of, normalize_name
+from repro.dns.names import Name
 from repro.web.cookies import Cookie
 
 
@@ -43,29 +44,3 @@ class DarknetFeed:
 
     def all_leaks(self) -> List[CookieLeak]:
         return list(self._leaks)
-
-    def leaks_for_domain(
-        self,
-        domain: Name,
-        since: Optional[datetime] = None,
-        until: Optional[datetime] = None,
-        authentication_only: bool = True,
-    ) -> List[CookieLeak]:
-        """Leaks captured on ``domain`` (or below) within a window.
-
-        ``authentication_only`` mirrors the paper's focus on
-        authentication cookies.
-        """
-        normalized = normalize_name(domain)
-        out = []
-        for leak in self._leaks:
-            if not is_subdomain_of(leak.domain, normalized):
-                continue
-            if authentication_only and not leak.cookie.is_authentication:
-                continue
-            if since is not None and leak.leaked_at < since:
-                continue
-            if until is not None and leak.leaked_at > until:
-                continue
-            out.append(leak)
-        return out

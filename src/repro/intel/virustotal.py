@@ -91,13 +91,6 @@ class VirusTotalService:
         normalized = normalize_name(domain)
         return self._reports.get(normalized, DomainReport(domain=normalized))
 
-    def flagged_domains(self, min_vendors: int = 1) -> List[DomainReport]:
-        """Reports flagged by at least ``min_vendors`` vendors."""
-        return sorted(
-            (r for r in self._reports.values() if r.flag_count >= min_vendors),
-            key=lambda r: r.domain,
-        )
-
     # -- binaries ---------------------------------------------------------------
 
     def scan_binary(self, sample: BinarySample) -> List[str]:

@@ -7,20 +7,3 @@ three probing methods the paper compares in Section 2 (ICMP ping, TCP
 port probe, HTTP request), plus GeoIP / IP-WHOIS lookups used for the
 attacker-infrastructure analysis in Section 6.
 """
-
-from repro.net.addresses import CidrSet, IPv4Pool, PoolExhaustedError
-from repro.net.geoip import GeoIPDatabase, IPWhoisRecord
-from repro.net.network import Network
-from repro.net.probing import ProbeResult, icmp_ping, tcp_probe
-
-__all__ = [
-    "CidrSet",
-    "IPv4Pool",
-    "PoolExhaustedError",
-    "GeoIPDatabase",
-    "IPWhoisRecord",
-    "Network",
-    "ProbeResult",
-    "icmp_ping",
-    "tcp_probe",
-]

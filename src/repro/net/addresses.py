@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import ipaddress
 import random
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Sequence, Set, Tuple
 
 
 class PoolExhaustedError(RuntimeError):
@@ -46,10 +46,6 @@ class CidrSet:
 
     def __len__(self) -> int:
         return len(self._networks)
-
-    def total_addresses(self) -> int:
-        """Number of addresses covered by all blocks."""
-        return sum(network.num_addresses for network in self._networks)
 
 
 class IPv4Pool:
@@ -126,15 +122,6 @@ class IPv4Pool:
             if ip not in self._allocated:
                 self._allocated.add(ip)
                 return ip
-
-    def allocate_specific(self, ip: str) -> str:
-        """Allocate a specific free address (used to seed world state)."""
-        if ip not in self:
-            raise ValueError(f"{ip} is not in this pool")
-        if ip in self._allocated:
-            raise ValueError(f"{ip} is already allocated")
-        self._allocated.add(ip)
-        return ip
 
     def release(self, ip: str) -> None:
         """Return an address to the free space."""

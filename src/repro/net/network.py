@@ -68,9 +68,5 @@ class Network:
         """The host bound at ``ip``, or ``None`` if the address is dark."""
         return self._hosts.get(ip)
 
-    def is_bound(self, ip: str) -> bool:
-        """Whether any host answers at ``ip``."""
-        return ip in self._hosts
-
     def __len__(self) -> int:
         return len(self._hosts)

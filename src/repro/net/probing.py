@@ -49,17 +49,6 @@ def icmp_ping(network: Network, ip: str) -> ProbeResult:
     return ProbeResult(ip=ip, responsive=responsive, method="icmp", detail=detail)
 
 
-def tcp_probe(network: Network, ip: str, port: int) -> ProbeResult:
-    """Attempt a simulated TCP handshake with ``ip:port``."""
-    if network.fault_plan is not None and network.fault_plan.connection_reset(ip):
-        return ProbeResult(
-            ip=ip, responsive=False, method=f"tcp/{port}", detail="reset (injected)"
-        )
-    host = network.host_at(ip)
-    responsive = host is not None and port in host.open_tcp_ports()
-    return ProbeResult(ip=ip, responsive=responsive, method=f"tcp/{port}")
-
-
 def tcp_probe_any(network: Network, ip: str, ports: Iterable[int]) -> ProbeResult:
     """Probe several ports and report responsive if any accepts.
 

@@ -30,31 +30,23 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.obs.metrics import (
-    DEFAULT_BOUNDS,
     HistogramData,
     MetricsRegistry,
     NULL_METRICS,
-    NullMetrics,
     is_cache_state,
     metric_key,
 )
 from repro.obs.timeseries import (
-    METRICS_SCHEMA,
     NULL_SERIES,
-    NullSeries,
     TimeSeriesRecorder,
     cpu_seconds_now,
     deterministic_view,
-    peak_rss_kb,
 )
 from repro.obs.trace import (
     BufferTracer,
     NULL_SPAN,
     NULL_TRACER,
-    NullTracer,
-    TOPOLOGY_SPAN_PREFIXES,
     Tracer,
-    WALL_FIELDS,
     load_events,
     parity_projection,
     sim_projection,
@@ -64,28 +56,20 @@ __all__ = [
     "OBS",
     "Observability",
     "MetricsRegistry",
-    "NullMetrics",
     "NULL_METRICS",
     "HistogramData",
-    "DEFAULT_BOUNDS",
     "metric_key",
     "is_cache_state",
     "Tracer",
     "BufferTracer",
-    "NullTracer",
     "NULL_TRACER",
     "NULL_SPAN",
-    "WALL_FIELDS",
-    "TOPOLOGY_SPAN_PREFIXES",
     "load_events",
     "sim_projection",
     "parity_projection",
     "TimeSeriesRecorder",
-    "NullSeries",
     "NULL_SERIES",
-    "METRICS_SCHEMA",
     "cpu_seconds_now",
-    "peak_rss_kb",
     "deterministic_view",
 ]
 

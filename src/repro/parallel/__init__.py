@@ -7,17 +7,11 @@ input order, so a sweep of a fault-free world is byte-identical to a
 plain serial loop.  Nothing in the program forks.
 """
 
-from repro.parallel.executor import (
-    ProcessExecutor,
-    SerialExecutor,
-    SweepExecutor,
-)
-from repro.parallel.shard import SweepReport, fast_path_eligible
+from repro.parallel.executor import ProcessExecutor, SerialExecutor
+from repro.parallel.shard import fast_path_eligible
 
 __all__ = [
     "ProcessExecutor",
     "SerialExecutor",
-    "SweepExecutor",
-    "SweepReport",
     "fast_path_eligible",
 ]

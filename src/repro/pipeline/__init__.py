@@ -15,36 +15,16 @@ profiled (the metrics registry), or resumed mid-run (checkpoints),
 without touching the rest of the pipeline.
 """
 
-from repro.pipeline.context import MissingOutputError, QuarantineRecord, WeekContext
-from repro.pipeline.engine import (
-    Checkpoint,
-    PipelineEngine,
-    StageGraphError,
-)
-from repro.pipeline.metrics import PipelineMetrics, StageMetrics
-from repro.pipeline.stage import FunctionStage, Stage
-from repro.pipeline.store import (
-    CheckpointCorruptError,
-    CheckpointStore,
-    RecoveryReport,
-    atomic_write_bytes,
-    atomic_write_text,
-)
+from repro.pipeline.context import MissingOutputError, WeekContext
+from repro.pipeline.engine import PipelineEngine, StageGraphError
+from repro.pipeline.metrics import PipelineMetrics
+from repro.pipeline.stage import Stage
 
 __all__ = [
-    "Checkpoint",
-    "CheckpointCorruptError",
-    "CheckpointStore",
-    "FunctionStage",
     "MissingOutputError",
     "PipelineEngine",
     "PipelineMetrics",
-    "QuarantineRecord",
-    "RecoveryReport",
     "Stage",
     "StageGraphError",
-    "StageMetrics",
     "WeekContext",
-    "atomic_write_bytes",
-    "atomic_write_text",
 ]

@@ -56,9 +56,6 @@ class Checkpoint:
     blob: bytes
     failed_stage: Optional[str] = None
 
-    def size_bytes(self) -> int:
-        return len(self.blob)
-
 
 def _validate(stages: Sequence[Stage]) -> None:
     seen: Set[str] = set()

@@ -101,9 +101,6 @@ class PipelineMetrics:
         """The stage dead-lettered ``items`` work items this week."""
         self.stage(name).quarantined += items
 
-    def total_quarantined(self) -> int:
-        return sum(row.quarantined for row in self._stages.values())
-
     def stages(self) -> List[StageMetrics]:
         """Rows in registration (= pipeline) order."""
         return list(self._stages.values())

@@ -14,7 +14,7 @@ counts as zero.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.pipeline.context import WeekContext
 
@@ -43,37 +43,3 @@ class Stage:
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"<{type(self).__name__} {self.name!r}>"
-
-
-class FunctionStage(Stage):
-    """Wrap a plain callable as a stage — the quickest way to compose.
-
-    >>> stage = FunctionStage("double", lambda ctx: ctx.put("x", 2))
-    """
-
-    def __init__(
-        self,
-        name: str,
-        tick: Callable[[WeekContext], Optional[int]],
-        requires: Tuple[str, ...] = (),
-        provides: Tuple[str, ...] = (),
-        setup: Optional[Callable[[WeekContext], None]] = None,
-        finish: Optional[Callable[[WeekContext], None]] = None,
-    ):
-        self.name = name
-        self.requires = tuple(requires)
-        self.provides = tuple(provides)
-        self._tick = tick
-        self._setup = setup
-        self._finish = finish
-
-    def setup(self, ctx: WeekContext) -> None:
-        if self._setup is not None:
-            self._setup(ctx)
-
-    def tick(self, ctx: WeekContext) -> Optional[int]:
-        return self._tick(ctx)
-
-    def finish(self, ctx: WeekContext) -> None:
-        if self._finish is not None:
-            self._finish(ctx)

@@ -9,18 +9,3 @@ honour CAA records with RFC 8659 tree climbing, and log every issued
 certificate to a Certificate Transparency log that the analyses (and
 the CT-monitoring countermeasure) read.
 """
-
-from repro.pki.caa import caa_authorizes, effective_caa_set
-from repro.pki.ca import CertificateAuthority, IssuanceError
-from repro.pki.certificate import Certificate
-from repro.pki.ct_log import CTLog, CTLogEntry
-
-__all__ = [
-    "Certificate",
-    "CertificateAuthority",
-    "IssuanceError",
-    "CTLog",
-    "CTLogEntry",
-    "caa_authorizes",
-    "effective_caa_set",
-]

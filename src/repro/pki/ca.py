@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from contextlib import nullcontext
 from datetime import datetime, timedelta
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from repro.pki.caa import caa_authorizes
 from repro.pki.certificate import Certificate

@@ -85,14 +85,6 @@ class CTLog:
         candidates = (self._entries[i] for i in sorted(positions))
         return [e for e in candidates if e.certificate.matches(normalized)]
 
-    def single_san_entries(self) -> List[CTLogEntry]:
-        """Entries with exactly one non-wildcard SAN (the hijack shape)."""
-        return [e for e in self._entries if e.certificate.is_single_san]
-
-    def multi_san_entries(self) -> List[CTLogEntry]:
-        """Entries with multiple SANs or a wildcard."""
-        return [e for e in self._entries if not e.certificate.is_single_san]
-
     def first_issuance_for(self, name: Name) -> Optional[datetime]:
         """Timestamp of the earliest certificate covering ``name``."""
         matching = self.entries_for(name)

@@ -10,16 +10,3 @@ HTTPS, backlinks and keyword relevance.  The search-poisoning analysis
 in :mod:`repro.core.search_poisoning` then measures how far hijacked
 domains climb for gambling queries.
 """
-
-from repro.search.crawler import CrawledPage, Crawler, CrawlStats
-from repro.search.index import SearchIndex
-from repro.search.engine import RankedResult, SearchEngine
-
-__all__ = [
-    "Crawler",
-    "CrawledPage",
-    "CrawlStats",
-    "SearchIndex",
-    "SearchEngine",
-    "RankedResult",
-]

@@ -18,10 +18,9 @@ from datetime import datetime
 from typing import List, Optional, Sequence
 
 from repro.core.keywords import tokenize
-from repro.dns.names import registered_domain
 from repro.pki.ct_log import CTLog
 from repro.search.crawler import Crawler
-from repro.search.index import PageRef, SearchIndex
+from repro.search.index import SearchIndex
 from repro.whois.registry import DomainRegistry
 
 

@@ -7,10 +7,3 @@ Nothing in the library reads the wall clock or the global
 simulation so that a given seed always reproduces the same three-year
 "Internet history" bit for bit.
 """
-
-from repro.sim.clock import SimClock
-from repro.sim.events import Event, EventLog
-from repro.sim.revisions import RevisionJournal
-from repro.sim.rng import RngStreams
-
-__all__ = ["SimClock", "Event", "EventLog", "RevisionJournal", "RngStreams"]

@@ -85,13 +85,6 @@ class SimClock:
         """Move the clock forward by ``days`` days."""
         return self.advance(timedelta(days=days))
 
-    def advance_to(self, instant: datetime) -> datetime:
-        """Jump forward to ``instant`` (which must not be in the past)."""
-        if instant < self._now:
-            raise ClockError(f"cannot move clock backwards to {instant}")
-        self._now = instant
-        return self._now
-
     # -- iteration helpers ----------------------------------------------
 
     def ticks(self, step: timedelta) -> Iterator[datetime]:

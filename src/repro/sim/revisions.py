@@ -79,11 +79,6 @@ class RevisionJournal:
         """Current revision of ``(kind, key)``; 0 if never bumped."""
         return self._revisions.get((kind, key), 0)
 
-    def revisions_for(self, subjects: Tuple[Subject, ...]) -> Tuple[int, ...]:
-        """Current revisions of several subjects at once."""
-        get = self._revisions.get
-        return tuple(get(subject, 0) for subject in subjects)
-
     def cursor(self) -> int:
         """An opaque position marking "now" in the change log."""
         return len(self._log)

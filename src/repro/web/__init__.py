@@ -8,29 +8,3 @@ transport-level probing misjudges liveness, Section 2), per-resource
 sites, and an application-layer HTTP client that performs the paper's
 "download HTML via HTTP/S from the actual FQDN" liveness check.
 """
-
-from repro.web.cookies import Cookie, CookieJar
-from repro.web.html import HtmlDocument, Link, Script, parse_html
-from repro.web.http import HttpRequest, HttpResponse
-from repro.web.server import VirtualHostServer
-from repro.web.site import StaticSite
-from repro.web.sitemap import Sitemap, SitemapEntry, parse_sitemap
-from repro.web.client import FetchOutcome, HttpClient
-
-__all__ = [
-    "Cookie",
-    "CookieJar",
-    "HtmlDocument",
-    "Link",
-    "Script",
-    "parse_html",
-    "HttpRequest",
-    "HttpResponse",
-    "VirtualHostServer",
-    "StaticSite",
-    "Sitemap",
-    "SitemapEntry",
-    "parse_sitemap",
-    "HttpClient",
-    "FetchOutcome",
-]

@@ -14,7 +14,7 @@ implemented here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from typing import Dict, List, Optional
 
@@ -70,18 +70,6 @@ class CookieJar:
     def cookies_for(self, host: str, scheme: str = "http") -> List[Cookie]:
         """Cookies a request to ``scheme://host`` would carry."""
         return [c for c in self._cookies.values() if c.sendable(host, scheme)]
-
-    def header_for(self, host: str, scheme: str = "http") -> Dict[str, str]:
-        """The name→value map for the Cookie request header."""
-        return {c.name: c.value for c in self.cookies_for(host, scheme)}
-
-    def javascript_visible(self, host: str, scheme: str = "http") -> List[Cookie]:
-        """Cookies ``document.cookie`` exposes on ``scheme://host``."""
-        return [
-            c
-            for c in self.cookies_for(host, scheme)
-            if c.javascript_accessible()
-        ]
 
     def __len__(self) -> int:
         return len(self._cookies)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.web.cookies import Cookie
 
@@ -58,10 +58,6 @@ class HttpResponse:
     @property
     def ok(self) -> bool:
         return 200 <= self.status < 300
-
-    def body_size(self) -> int:
-        """Body size in bytes."""
-        return len(self.body.encode("utf-8"))
 
 
 def not_found(message: str = "Not Found") -> HttpResponse:

@@ -9,7 +9,7 @@ Attacker sites (cloaking, clickjacking) wrap or subclass it in
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Protocol, runtime_checkable
+from typing import Dict, Optional, Protocol, runtime_checkable
 
 from repro.web.http import HttpRequest, HttpResponse, not_found
 from repro.web.sitemap import Sitemap
@@ -83,9 +83,6 @@ class StaticSite:
         """All populated paths, sorted."""
         return sorted(self._pages)
 
-    def has_path(self, path: str) -> bool:
-        return path in self._pages
-
     def get(self, path: str) -> Optional[str]:
         """Raw content at ``path`` or ``None``."""
         return self._pages.get(path)
@@ -93,10 +90,6 @@ class StaticSite:
     def page_count(self, content_type: str = "text/html") -> int:
         """Number of pages of the given content type."""
         return sum(1 for ct in self._content_types.values() if ct == content_type)
-
-    def total_bytes(self) -> int:
-        """Total stored content size in bytes."""
-        return sum(len(body.encode("utf-8")) for body in self._pages.values())
 
     # -- serving ------------------------------------------------------------------
 
@@ -112,13 +105,3 @@ class StaticSite:
             headers=dict(self.default_headers),
         )
         return response
-
-
-class CallableSite:
-    """Adapter turning a plain function into a :class:`Site`."""
-
-    def __init__(self, handler: Callable[[HttpRequest], HttpResponse]):
-        self._handler = handler
-
-    def handle(self, request: HttpRequest) -> HttpResponse:
-        return self._handler(request)

@@ -4,8 +4,3 @@ Supplies the three fields the paper's analyses read from WHOIS:
 creation date (domain age, Figure 18), registrar and owner (the
 registrar-diversity rule-out of benign changes, Figure 10).
 """
-
-from repro.whois.registry import DomainRegistry, WhoisRecord
-from repro.whois.registrars import DEFAULT_REGISTRARS, pick_registrar
-
-__all__ = ["DomainRegistry", "WhoisRecord", "DEFAULT_REGISTRARS", "pick_registrar"]

@@ -53,17 +53,9 @@ class DomainRegistry:
             base = normalize_name(name)
         return self._records.get(base)
 
-    def registrar_of(self, name: Name) -> Optional[str]:
-        record = self.lookup(name)
-        return record.registrar if record else None
-
     def owner_of(self, name: Name) -> Optional[str]:
         record = self.lookup(name)
         return record.owner if record else None
-
-    def creation_date_of(self, name: Name) -> Optional[datetime]:
-        record = self.lookup(name)
-        return record.created_at if record else None
 
     def all_records(self) -> List[WhoisRecord]:
         """Every registration, sorted by domain."""

@@ -9,22 +9,3 @@ this world weekly for three simulated years: new assets appear,
 resources get released (leaving dangling records when owners forget to
 purge), owners eventually remediate, and benign content churns.
 """
-
-from repro.world.organizations import Organization, OrgKind
-from repro.world.sectors import SECTORS
-from repro.world.population import PopulationBuilder, PopulationConfig
-from repro.world.internet import Internet
-from repro.world.lifecycle import LifecycleConfig, WorldEngine
-from repro.world.users import UserPopulation
-
-__all__ = [
-    "Organization",
-    "OrgKind",
-    "SECTORS",
-    "PopulationBuilder",
-    "PopulationConfig",
-    "Internet",
-    "WorldEngine",
-    "LifecycleConfig",
-    "UserPopulation",
-]

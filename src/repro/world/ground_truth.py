@@ -10,7 +10,7 @@ from externally observable data, like the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from typing import Dict, List, Optional
 
@@ -100,9 +100,6 @@ class GroundTruthLog:
     def hijacked_fqdns(self) -> List[Name]:
         """Every FQDN that was hijacked at least once, sorted."""
         return sorted(self._by_fqdn)
-
-    def was_hijacked(self, fqdn: Name) -> bool:
-        return fqdn in self._by_fqdn
 
     def __len__(self) -> int:
         return len(self._records)

@@ -24,7 +24,7 @@ from repro.obs import OBS
 from repro.pki.ca import IssuanceError
 from repro.world.ground_truth import GroundTruthLog
 from repro.world.internet import Internet
-from repro.world.organizations import Asset, AssetKind, Organization, OrgKind
+from repro.world.organizations import Asset, AssetKind, Organization
 from repro.world.population import PopulationBuilder, PopulationConfig
 
 

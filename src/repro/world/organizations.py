@@ -92,7 +92,3 @@ class Organization:
     @property
     def is_global500(self) -> bool:
         return self.global500_rank is not None
-
-    def dangling_assets(self) -> List[Asset]:
-        """Assets whose record currently dangles."""
-        return [a for a in self.assets if a.is_dangling]

@@ -7,6 +7,7 @@ import pytest
 from repro.attacker.campaign import CampaignOrchestrator
 from repro.attacker.groups import AttackerGroup, GroupBehavior
 from repro.attacker.identifiers import build_pool
+from repro.cloud.specs import NamingPolicy
 from repro.content.vocab import Topic
 from repro.sim.rng import RngStreams
 from repro.world.ground_truth import GroundTruthLog
@@ -42,7 +43,11 @@ def staged():
     for org in orgs:
         for asset in org.assets:
             resource = asset.resource
-            if resource is None or not resource.active or not resource.is_user_nameable:
+            if (
+                resource is None
+                or not resource.active
+                or resource.spec.naming != NamingPolicy.FREETEXT
+            ):
                 continue
             provider = internet.catalog.provider(resource.provider)
             provider.release(resource, at)
@@ -115,8 +120,9 @@ def test_cookie_stealing_sites_feed_darknet(staged):
     internet.client.fetch(record.fqdn, at=week,
                           headers={"X-Client-IP": "203.0.113.9"}, cookie_jar=jar)
     orchestrator.step(week + timedelta(weeks=1))
-    leaks = internet.darknet.leaks_for_domain(parent)
+    leaks = [leak for leak in internet.darknet.all_leaks() if leak.domain == record.fqdn]
     assert leaks
+    assert leaks[0].cookie.is_authentication
     assert leaks[0].victim_ip == "203.0.113.9"
 
 
@@ -126,7 +132,7 @@ def test_certificates_issued_for_some_hijacks(staged):
     group = _group(internet, certificate_rate=1.0)
     orchestrator = CampaignOrchestrator(internet, [group], ground_truth, orgs)
     orchestrator.step(at + timedelta(weeks=1))
-    single_san = internet.ct_log.single_san_entries()
+    single_san = [e for e in internet.ct_log.entries() if e.certificate.is_single_san]
     hijacked = set(ground_truth.hijacked_fqdns())
     fraudulent = [
         e for e in single_san

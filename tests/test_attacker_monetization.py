@@ -27,7 +27,7 @@ def test_ledger_payouts_and_counts():
     ledger.record("refA", "view", T0, "a.victim.com")
     ledger.record("refA", "signup", T0, "a.victim.com")
     ledger.record("refB", "view", T0, "b.victim.com")
-    assert ledger.payout_for("refA") == pytest.approx(5.002)
+    assert dict(ledger.payouts())["refA"] == pytest.approx(5.002)
     assert ledger.payouts()[0][0] == "refA"
     assert ledger.event_counts() == {"view": 2, "signup": 1}
     assert ledger.event_counts("refB") == {"view": 1}

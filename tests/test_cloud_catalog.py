@@ -27,10 +27,6 @@ def test_geoip_annotates_provider_space(internet):
     assert internet.catalog.geoip.organization_of(azure_edge_ip) == "Azure"
 
 
-def test_find_service_owner(internet):
-    assert internet.catalog.find_service_owner("heroku-app").name == "Heroku"
-
-
 def test_some_edges_drop_icmp(internet):
     """edge_icmp_drop_rate=0.28 should leave a mix of edge behaviours."""
     edges = []

@@ -24,7 +24,7 @@ def test_provision_creates_record_and_route(internet, azure):
     assert resource.generated_fqdn == "shop.azurewebsites.net"
     result = internet.resolver.resolve_a_with_chain("shop.azurewebsites.net")
     assert result.ok and result.addresses == [resource.ip]
-    assert azure.get_active("azure-web-app", "shop") is resource
+    assert resource.active and not azure.is_name_available("azure-web-app", "shop")
 
 
 def test_name_collision_rejected(azure):
@@ -113,9 +113,9 @@ def test_dedicated_ip_lifecycle(internet):
     aws = internet.catalog.provider("AWS")
     resource = aws.provision("aws-ec2-ip", "vm1", owner="org:acme", at=T0)
     assert resource.ip
-    assert internet.network.is_bound(resource.ip)
+    assert internet.network.host_at(resource.ip) is not None
     aws.release(resource, T1)
-    assert not internet.network.is_bound(resource.ip)
+    assert internet.network.host_at(resource.ip) is None
     assert not aws.pool.is_allocated(resource.ip)
 
 

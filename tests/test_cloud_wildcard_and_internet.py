@@ -71,5 +71,5 @@ def test_two_internets_are_independent():
     b = Internet(RngStreams(1))
     azure_a = a.catalog.provider("Azure")
     azure_a.provision("azure-web-app", "only-in-a", owner="x", at=T0)
-    assert azure_a.get_active("azure-web-app", "only-in-a") is not None
-    assert b.catalog.provider("Azure").get_active("azure-web-app", "only-in-a") is None
+    assert not azure_a.is_name_available("azure-web-app", "only-in-a")
+    assert b.catalog.provider("Azure").is_name_available("azure-web-app", "only-in-a")

@@ -199,7 +199,7 @@ def test_seo_analysis(tiny_result):
         tiny_result.dataset, tiny_result.monitor.store,
         tiny_result.internet.client, tiny_result.end,
     )
-    assert report.total_sites == len(tiny_result.dataset)
+    assert len(report.profiles) == len(tiny_result.dataset)
     assert report.seo_share > 0.5  # SEO dominates (Section 5.2)
     assert 0.0 <= report.keyword_stuffing_page_rate <= 1.0
     assert report.top_meta_keywords

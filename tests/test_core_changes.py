@@ -35,7 +35,6 @@ def test_no_change():
 def test_dns_change_detected():
     event = detect_changes(_features(), _features(at=T1, addresses=("40.0.0.9",)))
     assert event.dns_changed
-    assert "dns_changed" in event.change_kinds
 
 
 def test_reactivation_detected():

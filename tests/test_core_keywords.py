@@ -5,7 +5,6 @@ from repro.core.keywords import (
     abuse_vocabulary_hits,
     classify_topic,
     extract_keywords,
-    keyword_frequency_table,
     tokenize,
     topic_scores,
 )
@@ -68,9 +67,3 @@ def test_benign_dominance_vetoes_weak_abuse_signal():
 def test_topic_scores_counts_token_overlap():
     scores = topic_scores({"slot gacor", "judi"})
     assert scores[Topic.GAMBLING] >= 3
-
-
-def test_keyword_frequency_table():
-    table = keyword_frequency_table([{"slot", "judi"}, {"slot"}, {"porn"}], top=2)
-    assert table[0] == ("slot", 2)
-    assert len(table) == 2

@@ -93,7 +93,7 @@ def test_content_change_creates_new_state():
         assert previous is not None
         assert previous.title == "Portal"
         assert current.title == "slot gacor"
-        assert monitor.store.state_count() == 2
+        assert len(monitor.store.history(fqdn)) == 2
 
 
 def test_sitemap_fetched_on_change_only():
@@ -168,7 +168,7 @@ def test_meta_and_script_features(internet):
 
 
 def _chaos_internet(**rates) -> Internet:
-    plan = FaultPlan.from_seed(FaultConfig(enabled=True, **rates), 1)
+    plan = FaultPlan(FaultConfig(enabled=True, **rates), RngStreams(1))
     return Internet(RngStreams(7), SimClock(), fault_plan=plan)
 
 

@@ -1,6 +1,6 @@
 """Tests for text rendering helpers."""
 
-from repro.core.reporting import percent, render_histogram, render_series, render_table
+from repro.core.reporting import percent, render_histogram, render_table
 
 
 def test_render_table_alignment():
@@ -31,12 +31,6 @@ def test_render_histogram_scales_bars():
 
 def test_render_histogram_empty():
     assert render_histogram([]) == ""
-
-
-def test_render_series():
-    text = render_series([("2020-01", 1.0), ("2020-02", 2.5)], title="growth")
-    assert text.splitlines()[0] == "growth"
-    assert "2020-02" in text
 
 
 def test_percent():

@@ -3,14 +3,12 @@
 from datetime import datetime
 
 from repro.core.monitoring import SnapshotFeatures
+from repro.core.sigindex import external_hosts, facade_markers, page_tokens
 from repro.core.signatures import (
     BenignCorpus,
     ExtractorConfig,
     Signature,
     SignatureExtractor,
-    external_hosts,
-    facade_markers,
-    page_tokens,
 )
 from repro.whois.registry import DomainRegistry
 

@@ -12,7 +12,6 @@ from repro.dns.names import (
     public_suffix,
     registered_domain,
     split_name,
-    subdomain_labels,
     tld_of,
 )
 
@@ -68,11 +67,6 @@ def test_registered_domain():
 
 def test_tld_of():
     assert tld_of("a.b.foo.de") == "de"
-
-
-def test_subdomain_labels():
-    assert subdomain_labels("a.b.foo.com") == ["a", "b"]
-    assert subdomain_labels("foo.com") == []
 
 
 @given(NAME)

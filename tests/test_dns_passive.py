@@ -56,13 +56,6 @@ def test_cname_targets_filtered_by_suffix():
     assert len(pdns.cname_targets()) == 2
 
 
-def test_observations_for_name():
-    pdns = PassiveDNS()
-    pdns.observe(_cname("a.foo.com", "x.cloud.net"), T0)
-    pdns.observe(ResourceRecord("a.foo.com", RRType.A, "1.1.1.1"), T0)
-    assert len(pdns.observations_for("a.foo.com")) == 2
-
-
 def test_sighting_inside_the_window_only_counts():
     pdns = PassiveDNS()
     record = _cname("a.example.com", "x.cloud.net")

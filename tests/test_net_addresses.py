@@ -15,7 +15,6 @@ def test_cidrset_membership():
     assert "8.8.8.8" not in cidrs
     assert "not-an-ip" not in cidrs
     assert len(cidrs) == 2
-    assert cidrs.total_addresses() == 2**19 + 2**21
 
 
 def test_pool_allocates_unique_members():
@@ -44,16 +43,6 @@ def test_release_and_reuse():
     assert not pool.is_allocated(ip)
     with pytest.raises(ValueError):
         pool.release(ip)
-
-
-def test_allocate_specific():
-    pool = IPv4Pool(["10.0.0.0/24"])
-    pool.allocate_specific("10.0.0.7")
-    assert pool.is_allocated("10.0.0.7")
-    with pytest.raises(ValueError):
-        pool.allocate_specific("10.0.0.7")
-    with pytest.raises(ValueError):
-        pool.allocate_specific("192.168.0.1")
 
 
 def test_reuse_bias_prefers_recent_releases():

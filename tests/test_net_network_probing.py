@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net.network import Network
-from repro.net.probing import LIU_2016_PORTS, icmp_ping, tcp_probe, tcp_probe_any
+from repro.net.probing import LIU_2016_PORTS, icmp_ping, tcp_probe_any
 from repro.web.server import VirtualHostServer
 
 
@@ -12,7 +12,6 @@ def test_bind_and_host_at():
     host = VirtualHostServer("Azure")
     network.bind("40.0.0.1", host)
     assert network.host_at("40.0.0.1") is host
-    assert network.is_bound("40.0.0.1")
     assert len(network) == 1
 
 
@@ -45,9 +44,9 @@ def test_icmp_respects_host_policy():
 def test_tcp_probe_standard_ports_only():
     network = Network()
     network.bind("40.0.0.1", VirtualHostServer("AWS"))
-    assert tcp_probe(network, "40.0.0.1", 80).responsive
-    assert tcp_probe(network, "40.0.0.1", 443).responsive
-    assert not tcp_probe(network, "40.0.0.1", 22).responsive
+    assert tcp_probe_any(network, "40.0.0.1", (80,)).responsive
+    assert tcp_probe_any(network, "40.0.0.1", (443,)).responsive
+    assert not tcp_probe_any(network, "40.0.0.1", (22,)).responsive
 
 
 def test_tcp_probe_any_reports_open_port():
@@ -67,4 +66,4 @@ def test_edge_answers_for_released_resources_too():
     network.bind("40.0.0.1", edge)
     # No routes at all — every resource released — yet:
     assert icmp_ping(network, "40.0.0.1").responsive
-    assert tcp_probe(network, "40.0.0.1", 443).responsive
+    assert tcp_probe_any(network, "40.0.0.1", (443,)).responsive

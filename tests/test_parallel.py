@@ -60,7 +60,7 @@ def test_fast_path_ineligible_under_breaker_or_active_faults():
     internet.client.breaker = CircuitBreaker()
     assert not fast_path_eligible(WeeklyMonitor(internet.client))
     chaotic = _internet()
-    chaotic.client.fault_plan = FaultPlan.from_seed(FaultConfig.chaos(0.3), 7)
+    chaotic.client.fault_plan = FaultPlan(FaultConfig.chaos(0.3), RngStreams(7))
     assert not fast_path_eligible(WeeklyMonitor(chaotic.client))
 
 

@@ -8,9 +8,11 @@ either changes, a behavioural difference slipped into the pipeline.
 """
 
 import hashlib
+import json
+from typing import Optional
 
 from repro.analysis import report_json, run_analyses
-from repro.core.export import dataset_to_json, ground_truth_to_json
+from repro.core.export import _dump_time, dataset_to_json
 from repro.core.scenario import ScenarioConfig, build_scenario, run_scenario
 
 #: sha256 of ``dataset_to_json(result.dataset, indent=2)`` for
@@ -26,6 +28,22 @@ GOLDEN_GROUND_TRUTH_SHA256 = (
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def ground_truth_to_json(ground_truth, indent: Optional[int] = None) -> str:
+    """The ground-truth hijack log as JSON: the oracle the digest pins."""
+    rows = [
+        {
+            "fqdn": record.fqdn,
+            "attacker_group": record.attacker_group,
+            "service": record.resource.service_key,
+            "provider": record.resource.provider,
+            "taken_over_at": _dump_time(record.taken_over_at),
+            "remediated_at": _dump_time(record.remediated_at),
+        }
+        for record in ground_truth.all_records()
+    ]
+    return json.dumps({"hijacks": rows}, indent=indent, ensure_ascii=False)
 
 
 def test_same_seed_runs_export_identical_datasets():

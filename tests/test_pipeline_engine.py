@@ -5,7 +5,6 @@ import pytest
 from repro.core.export import dataset_to_json
 from repro.core.scenario import ScenarioConfig, build_scenario
 from repro.pipeline import (
-    FunctionStage,
     MissingOutputError,
     PipelineEngine,
     PipelineMetrics,
@@ -16,6 +15,8 @@ from repro.pipeline import (
 from repro.sim.clock import DEFAULT_START, SimClock
 from repro.sim.rng import RngStreams
 from datetime import timedelta
+
+from tests.fakes import FunctionStage
 
 
 def _clock(weeks: int) -> SimClock:
@@ -212,4 +213,4 @@ def test_run_emits_periodic_checkpoints():
     engine.run(checkpoint_every=3, on_checkpoint=checkpoints.append)
     # Snapshots after weeks 3, 6 and 9 — never after the final week.
     assert [cp.week_index for cp in checkpoints] == [3, 6, 9]
-    assert all(cp.size_bytes() > 0 for cp in checkpoints)
+    assert all(len(cp.blob) > 0 for cp in checkpoints)

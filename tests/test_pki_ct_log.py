@@ -23,8 +23,7 @@ def test_submit_and_query():
     log.submit(_cert(1, ["a.example.com"]), T0)
     log.submit(_cert(2, ["*.example.com", "example.com"]), T0 + timedelta(days=1))
     assert len(log) == 2
-    assert len(log.single_san_entries()) == 1
-    assert len(log.multi_san_entries()) == 1
+    assert [e.certificate.is_single_san for e in log.entries()] == [True, False]
 
 
 def test_entries_for_name_and_subdomains():

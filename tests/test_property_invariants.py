@@ -13,6 +13,7 @@ from repro.dns.records import RRType, ResourceRecord
 from repro.dns.zone import Zone
 from repro.net.addresses import IPv4Pool
 from repro.web.cookies import Cookie, CookieJar
+from repro.web.http import HttpRequest
 
 T0 = datetime(2020, 1, 6)
 
@@ -86,7 +87,11 @@ def test_cookie_flag_semantics_are_total(secure, http_only, scheme):
     assert cookie.javascript_accessible() == (not http_only)
     jar = CookieJar()
     jar.set(cookie)
-    js_visible = jar.javascript_visible("sub.example.com", scheme)
+    request = HttpRequest(
+        host="sub.example.com", scheme=scheme,
+        cookie_objects=jar.cookies_for("sub.example.com", scheme),
+    )
+    js_visible = request.javascript_cookies()
     assert (cookie in js_visible) == (sendable and not http_only)
 
 

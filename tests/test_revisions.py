@@ -86,9 +86,8 @@ def test_revisions_for_reads_many_subjects_at_once():
     journal.bump("dns", "a")
     journal.bump("dns", "a")
     journal.bump("net", "10.0.0.1")
-    assert journal.revisions_for((("dns", "a"), ("net", "10.0.0.1"), ("web", "b"))) == (
-        2, 1, 0,
-    )
+    subjects = (("dns", "a"), ("net", "10.0.0.1"), ("web", "b"))
+    assert [journal.revision(*subject) for subject in subjects] == [2, 1, 0]
 
 
 # -- TouchLedger -----------------------------------------------------------

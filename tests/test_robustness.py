@@ -21,9 +21,10 @@ from repro.pipeline.context import WeekContext
 from repro.sim.clock import SimClock
 from repro.sim.rng import RngStreams
 from repro.web.html import parse_html
-from repro.web.site import CallableSite, StaticSite
+from repro.web.site import StaticSite
 from repro.web.http import HttpResponse
 from repro.world.internet import Internet
+from tests.fakes import CallableSite
 
 T0 = datetime(2020, 1, 6)
 WEEK = timedelta(weeks=1)
@@ -128,7 +129,8 @@ def test_attacker_controlled_title_cannot_break_signatures(internet):
                    "<body><p>slot judi</p></body></html>")
     _route(internet, "regex.acme.com", site)
     features = WeeklyMonitor(internet.client).sample("regex.acme.com", T0)
-    from repro.core.signatures import Signature, page_tokens
+    from repro.core.signatures import Signature
+    from repro.core.sigindex import page_tokens
 
     signature = Signature(
         signature_id="s", created_at=T0, keywords=frozenset({"slot", "judi"})

@@ -31,8 +31,6 @@ def test_advance_backwards_is_rejected():
     clock = SimClock()
     with pytest.raises(ClockError):
         clock.advance(timedelta(days=-1))
-    with pytest.raises(ClockError):
-        clock.advance_to(clock.now - timedelta(seconds=1))
 
 
 def test_end_before_start_is_rejected():
@@ -53,12 +51,6 @@ def test_ticks_requires_positive_step():
     clock = SimClock()
     with pytest.raises(ClockError):
         next(clock.ticks(timedelta(0)))
-
-
-def test_advance_to_jumps():
-    clock = SimClock(datetime(2020, 1, 6))
-    clock.advance_to(datetime(2021, 6, 1))
-    assert clock.now == datetime(2021, 6, 1)
 
 
 def test_month_key_format():

@@ -1,6 +1,16 @@
 """Tests for cookie scope rules — the Section 5.5 browser semantics."""
 
 from repro.web.cookies import Cookie, CookieJar
+from repro.web.http import HttpRequest
+
+
+def _request(jar, host, scheme="http"):
+    """The request a client sends to ``host`` with ``jar``'s cookies."""
+    objects = jar.cookies_for(host, scheme)
+    return HttpRequest(
+        host=host, scheme=scheme,
+        cookies={c.name: c.value for c in objects}, cookie_objects=objects,
+    )
 
 
 def _auth(domain="example.com", secure=False, http_only=False):
@@ -44,10 +54,9 @@ def test_jar_header_and_js_views():
     jar = CookieJar()
     jar.set(_auth("example.com", http_only=True))
     jar.set(Cookie(name="visitor", value="9", domain="example.com"))
-    header = jar.header_for("x.example.com")
-    assert header == {"session": "tok", "visitor": "9"}
-    js = jar.javascript_visible("x.example.com")
-    assert [c.name for c in js] == ["visitor"]
+    request = _request(jar, "x.example.com")
+    assert request.cookies == {"session": "tok", "visitor": "9"}
+    assert [c.name for c in request.javascript_cookies()] == ["visitor"]
 
 
 def test_jar_overwrites_same_key():
@@ -55,7 +64,7 @@ def test_jar_overwrites_same_key():
     jar.set(Cookie(name="a", value="1", domain="x.com"))
     jar.set(Cookie(name="a", value="2", domain="x.com"))
     assert len(jar) == 1
-    assert jar.header_for("x.com")["a"] == "2"
+    assert _request(jar, "x.com").cookies["a"] == "2"
 
 
 def test_hijacked_subdomain_receives_parent_cookies():
@@ -63,4 +72,4 @@ def test_hijacked_subdomain_receives_parent_cookies():
     subdomain, including one serving attacker content."""
     jar = CookieJar()
     jar.set(_auth("victim.com"))
-    assert jar.header_for("forgotten.victim.com") == {"session": "tok"}
+    assert _request(jar, "forgotten.victim.com").cookies == {"session": "tok"}

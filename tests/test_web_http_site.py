@@ -3,8 +3,9 @@
 import pytest
 
 from repro.web.http import HttpRequest, HttpResponse, not_found, provider_404
-from repro.web.site import CallableSite, StaticSite
+from repro.web.site import StaticSite
 from repro.web.sitemap import Sitemap
+from tests.fakes import CallableSite
 
 
 def test_request_crawler_detection():
@@ -16,7 +17,7 @@ def test_request_crawler_detection():
 def test_response_ok_and_size():
     assert HttpResponse(status=204).ok
     assert not HttpResponse(status=404).ok
-    assert HttpResponse(body="abcd").body_size() == 4
+    assert len(HttpResponse(body="abcd").body.encode("utf-8")) == 4
 
 
 def test_provider_404_fingerprint():
@@ -41,7 +42,6 @@ def test_static_site_paths_and_counts():
     site.put("/x.bin", "MZ...", content_type="application/octet-stream")
     assert site.paths() == ["/", "/x.bin"]
     assert site.page_count() == 1
-    assert site.total_bytes() > 0
     assert site.get("/x.bin") == "MZ..."
 
 
@@ -54,7 +54,7 @@ def test_static_site_remove():
     site = StaticSite()
     site.put("/a", "x")
     site.remove("/a")
-    assert not site.has_path("/a")
+    assert "/a" not in site.paths()
     with pytest.raises(KeyError):
         site.remove("/a")
 

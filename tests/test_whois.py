@@ -24,8 +24,8 @@ def test_lookup_by_subdomain_resolves_to_sld():
     registry = DomainRegistry()
     registry.register("acme.co.uk", owner="Acme UK", registrar="Tucows", created_at=T0)
     assert registry.owner_of("deep.app.acme.co.uk") == "Acme UK"
-    assert registry.registrar_of("www.acme.co.uk") == "Tucows"
-    assert registry.creation_date_of("x.acme.co.uk") == T0
+    assert registry.lookup("www.acme.co.uk").registrar == "Tucows"
+    assert registry.lookup("x.acme.co.uk").created_at == T0
 
 
 def test_duplicate_registration_rejected():

@@ -26,7 +26,7 @@ def _resource():
 def test_record_and_query():
     log = GroundTruthLog()
     record = log.record_takeover(_asset(), "g1", _resource(), T0)
-    assert log.was_hijacked("app.acme.com")
+    assert log.records_for("app.acme.com") == [record]
     assert log.hijacked_fqdns() == ["app.acme.com"]
     assert log.active_records() == [record]
     assert len(log) == 1

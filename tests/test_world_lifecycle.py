@@ -45,7 +45,7 @@ def test_releases_create_dangling_records():
     for _ in range(5):
         at += timedelta(weeks=1)
         engine.step(at)
-    dangling = [a for org in orgs for a in org.dangling_assets()]
+    dangling = [a for org in orgs for a in org.assets if a.is_dangling]
     assert dangling
     # A dangling record still resolves as a CNAME chain to nowhere.
     sample = next(a for a in dangling if a.kind.value == "cloud-cname")
@@ -62,7 +62,7 @@ def test_purge_on_release_removes_record():
     for _ in range(5):
         at += timedelta(weeks=1)
         engine.step(at)
-    assert not [a for org in orgs for a in org.dangling_assets()]
+    assert not [a for org in orgs for a in org.assets if a.is_dangling]
     assert internet.events.counts_by_kind().get("world.dangling", 0) == 0
 
 
@@ -72,8 +72,8 @@ def test_remediation_follows_hijack():
     )
     at = T0 + timedelta(weeks=1)
     engine.step(at)
-    dangling = [a for org in orgs for a in org.dangling_assets()
-                if a.kind.value == "cloud-cname"]
+    dangling = [a for org in orgs for a in org.assets
+                if a.is_dangling and a.kind.value == "cloud-cname"]
     assert dangling
     asset = dangling[0]
     # Simulate an attacker takeover by registering the ground truth.
