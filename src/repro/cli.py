@@ -20,8 +20,8 @@ analysis degrades to an error stanza instead of killing the report) and
 optionally exported as machine-readable JSON with ``--report-json
 PATH``; ``audit`` plays the defender and surveys the attack surface;
 ``pipeline`` prints the engine's per-stage timing/throughput table;
-``profile`` runs with observability on and prints the top spans, cache
-hit rates and retry heat.
+``profile`` runs with observability on and prints cache hit rates,
+retry heat and stage cost.
 
 Every subcommand accepts the observability knobs: ``--metrics`` prints
 the deterministic counter registry after the run, ``--trace PATH``
@@ -32,6 +32,7 @@ trace-event JSON with shard and analysis lanes),
 ``--trace-sample N`` keeps every Nth span per span name, and
 ``--metrics-json PATH`` exports the week-by-week counter deltas plus
 the per-stage (and, for ``report``, per-analysis) cost rows as JSON.
+Spans are recorded only when ``--trace`` is given.
 With none of them given the observability layer stays null-object
 disabled and adds zero cost.
 
@@ -47,7 +48,7 @@ pins the fault streams independently of the world seed, and
 ``--retries N`` gives the weekly monitor a transient-failure retry
 budget.  ``pipeline`` additionally prints the resilience summary —
 injected-fault counts, client retries, breaker trips, quarantined
-FQDNs.
+FQDNs — whenever the run had a fault plan or dead letters.
 
 Sweeps are churn-proportional: each week the monitor asks the world's
 revision journal what changed since its last pass and extends
@@ -85,6 +86,7 @@ from repro.faults.retry import RetryPolicy
 from repro.obs import (
     BufferTracer,
     MetricsRegistry,
+    NULL_TRACER,
     OBS,
     TimeSeriesRecorder,
     Tracer,
@@ -131,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("audit", "run a scenario and survey the final attack surface"),
         ("pipeline", "run a scenario and print per-stage pipeline metrics"),
         ("profile", "run a scenario with observability on and print the "
-                    "span/cache/retry profile"),
+                    "cache/retry/stage-cost profile"),
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--seed", type=int, default=42)
@@ -268,7 +270,7 @@ def _print_pipeline(result: ScenarioResult, out) -> None:
     print(
         render_table(
             ["stage", "ticks", "wall s", "mean tick ms", "items", "items/s",
-             "retries", "fail+skip", "quarantined"],
+             "fail+skip", "quarantined"],
             metrics.rows(),
             title=f"Pipeline stage metrics ({result.weeks_run} weeks, "
                   f"{metrics.total_wall_time():.2f}s total)",
@@ -279,12 +281,18 @@ def _print_pipeline(result: ScenarioResult, out) -> None:
 
 
 def _print_resilience(result: ScenarioResult, out) -> None:
-    """The chaos-run scorecard: what was injected, what survived it."""
-    if result.fault_plan is None:
+    """What was injected (chaos runs only) and what the run dead-lettered.
+
+    Printed whenever the run had a fault plan or any dead letter, so a
+    healthy run's failed samples and ticks show up by count here too.
+    """
+    if result.fault_plan is None and not result.dead_letters:
         return
     client = result.internet.client
-    rows = [(f"injected {kind}", count)
-            for kind, count in result.fault_plan.stats.rows()]
+    rows: List[Tuple[object, ...]] = []
+    if result.fault_plan is not None:
+        rows.extend((f"injected {kind}", count)
+                    for kind, count in result.fault_plan.stats.rows())
     rows.extend(
         [
             ("client retries", client.retries_total),
@@ -382,7 +390,8 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         or args.metrics_json
     )
     registry: Optional[MetricsRegistry] = None
-    tracer: Optional[Tracer] = None
+    # Spans cost ids and clock reads: record them only for a trace file.
+    tracer = NULL_TRACER
     series: Optional[TimeSeriesRecorder] = None
     chrome_out: Optional[str] = None
     if obs_active:
@@ -392,7 +401,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
             # and normalise timestamps: buffer the run, convert at exit.
             chrome_out = args.trace
             tracer = BufferTracer(sample_every=args.trace_sample)
-        else:
+        elif args.trace:
             tracer = Tracer(path=args.trace, sample_every=args.trace_sample)
         series = TimeSeriesRecorder()
         OBS.configure(metrics=registry, tracer=tracer, series=series)
@@ -435,7 +444,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         elif args.command == "pipeline":
             _print_pipeline(result, out)
         elif args.command == "profile":
-            print(render_profile(result, registry, tracer, series), file=out)
+            print(render_profile(result, registry, series), file=out)
         if args.metrics and args.command != "profile":
             _print_metrics(registry, out)
     finally:

@@ -260,12 +260,7 @@ def build_scenario(config: Optional[ScenarioConfig] = None) -> PipelineEngine:
         NotifyStage(notifications),
         HarvestStage(harvester, detector, monitor),
     ]
-    return PipelineEngine(
-        stages, clock, streams, payload=result,
-        # The weekly loop must survive a hostile Internet: a failing
-        # stage dead-letters its tick, it never aborts the run.
-        on_stage_error="degrade",
-    )
+    return PipelineEngine(stages, clock, payload=result)
 
 
 def run_scenario(

@@ -2,8 +2,8 @@
 
 Each class here is one component of the paper's weekly pipeline,
 expressed as a :class:`~repro.pipeline.stage.Stage` so the engine can
-order, time and checkpoint them.  ``build_stages``
-composes the canonical nine-stage pipeline that ``run_scenario`` runs:
+order, time and checkpoint them.  ``build_scenario`` composes the
+canonical nine-stage pipeline that ``run_scenario`` runs:
 
 ``world → orchestrator → users → collector-refresh → monitor-sweep →
 change-detect → detect → notify → harvest``
@@ -215,21 +215,21 @@ class HarvestStage(Stage):
     """Monthly binary harvesting from abused pages (§5.4)."""
 
     name = "harvest"
+    #: Weeks between harvests.
+    every_weeks = 4
 
     def __init__(
         self,
         harvester: BinaryHarvester,
         detector: AbuseDetector,
         monitor: WeeklyMonitor,
-        every_weeks: int = 4,
     ):
         self._harvester = harvester
         self._detector = detector
         self._monitor = monitor
-        self._every_weeks = max(1, every_weeks)
 
     def tick(self, ctx: WeekContext) -> Optional[int]:
-        if ctx.week_index % self._every_weeks != 0:
+        if ctx.week_index % self.every_weeks != 0:
             return 0
         return self._harvester.harvest(
             self._detector.dataset, self._monitor.store, ctx.at

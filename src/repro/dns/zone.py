@@ -1,14 +1,15 @@
-"""Authoritative zones with timestamped mutation history.
+"""Authoritative zones: the records the simulated DNS answers from.
 
-The hijack-duration analysis (Section 4.4) computes the lifespan of an
-abuse as the time between the first abusive HTML snapshot and the DNS
-change the owner eventually makes to fix the dangling record.  Zones
-therefore keep a full change history, not just current state.
+Zones hold current state only.  Every add or remove bumps the changed
+name's revision in the world's
+:class:`~repro.sim.revisions.RevisionJournal`; resolver memos and the
+monitor's touch ledger read those revisions to tell which names moved.
+(The hijack-duration analysis of Section 4.4 reads the monitor's
+snapshot store, not the zones.)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import datetime
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -23,22 +24,12 @@ from repro.sim.revisions import RevisionJournal
 ZONE_SET_KEY = "__zones__"
 
 
-@dataclass(frozen=True)
-class ZoneChange:
-    """One mutation of a zone: a record added or removed at a time."""
-
-    at: datetime
-    action: str  # "add" | "remove"
-    record: ResourceRecord
-
-
 class Zone:
-    """All records at or below an apex name, with history."""
+    """All records at or below an apex name."""
 
     def __init__(self, apex: Name, journal: Optional[RevisionJournal] = None):
         self.apex = normalize_name(apex)
         self._records: Dict[Tuple[Name, RRType], List[ResourceRecord]] = {}
-        self._history: List[ZoneChange] = []
         self._record_counts: Dict[Name, int] = {}
         #: Memo of (name, rtype) → lookup result, cleared on mutation.
         #: Weekly sweeps re-query the same (mostly unchanged) names, and
@@ -46,10 +37,6 @@ class Zone:
         #: it; memoized, the same synthesized record is reused until the
         #: zone next changes.
         self._lookup_cache: Dict[Tuple[Name, RRType], List[ResourceRecord]] = {}
-        #: Monotonic mutation counter.  Resolution memos snapshot it and
-        #: revalidate on every hit, so a stale answer can never outlive
-        #: the zone change that invalidated it.
-        self.version = 0
         #: Per-name revisions live in the world-wide journal under
         #: ``("dns", name)``.  A ``lookup``/``name_exists`` outcome for
         #: ``name`` is fully pinned by the revisions of ``name`` itself
@@ -120,18 +107,14 @@ class Zone:
             out.extend(records)
         return out
 
-    @property
-    def history(self) -> List[ZoneChange]:
-        """The full mutation history, oldest first."""
-        return list(self._history)
-
     # -- mutation ----------------------------------------------------------
 
     def add(self, record: ResourceRecord, at: datetime) -> ResourceRecord:
-        """Add ``record`` at simulated time ``at``.
+        """Add ``record`` and bump its name's journal revision.
 
         Adding an identical record twice is an error; CNAME records are
-        exclusive at a name, as in real DNS.
+        exclusive at a name, as in real DNS.  ``at`` is unused: zones
+        keep no history.
         """
         if not self.covers(record.name):
             raise ValueError(f"{record.name} is outside zone {self.apex}")
@@ -142,22 +125,18 @@ class Zone:
             raise ValueError(f"duplicate record {record}")
         bucket.append(record)
         self._record_counts[record.name] = self._record_counts.get(record.name, 0) + 1
-        self._history.append(ZoneChange(at=at, action="add", record=record))
         self._lookup_cache.clear()
-        self.version += 1
         self.journal.bump("dns", record.name)
         return record
 
     def remove(self, record: ResourceRecord, at: datetime) -> None:
-        """Remove ``record`` at simulated time ``at``."""
+        """Remove ``record`` and bump its name's journal revision."""
         bucket = self._records.get((record.name, record.rtype))
         if not bucket or record not in bucket:
             raise ValueError(f"record not present: {record}")
         bucket.remove(record)
         self._record_counts[record.name] -= 1
-        self._history.append(ZoneChange(at=at, action="remove", record=record))
         self._lookup_cache.clear()
-        self.version += 1
         self.journal.bump("dns", record.name)
 
     def remove_all(self, name: Name, rtype: RRType, at: datetime) -> int:

@@ -1,11 +1,12 @@
 """The ``python -m repro profile`` report.
 
-Renders what the tracer and registry collected over one scenario run:
-the top spans by total wall time (per-stage and per-shard timings),
-the cache hit rates that justify the fast path (resolver memo, zone
-lookup memos, extraction cache), and the retry/breaker heat per edge.
-All tables degrade gracefully — a healthy run simply shows zero
-retries and no breaker transitions.
+Renders what the registry and the engine collected over one scenario
+run: the cache hit rates that justify the fast path (resolver memo,
+zone lookup memos, extraction cache), the retry/breaker heat per edge,
+the sweep and detector counters, the weekly trend, and each stage's
+cost from the engine's ``PipelineMetrics``.  All tables degrade
+gracefully — a healthy run simply shows zero retries and no breaker
+transitions.
 """
 
 from __future__ import annotations
@@ -30,33 +31,8 @@ CACHE_SERIES: Tuple[Tuple[str, str, str], ...] = (
     ("rescan postings (skipped)", "rescan.skipped", "rescan.visited"),
 )
 
-#: How many spans / edges the tables keep.
-TOP_SPANS = 14
+#: How many edges the retry table keeps.
 TOP_EDGES = 10
-
-
-def _span_table(tracer) -> str:
-    aggregates = tracer.aggregates()
-    ranked = sorted(
-        aggregates.items(), key=lambda item: -item[1]["total_ms"]
-    )[:TOP_SPANS]
-    rows = [
-        (
-            name,
-            stats["count"],
-            f"{stats['total_ms']:.1f}",
-            f"{stats['mean_ms']:.3f}",
-            f"{stats['max_ms']:.2f}",
-        )
-        for name, stats in ranked
-    ]
-    if not rows:
-        rows = [("(no spans recorded)", 0, "-", "-", "-")]
-    return render_table(
-        ["span", "count", "total ms", "mean ms", "max ms"],
-        rows,
-        title=f"Top spans by total wall time (of {len(aggregates)} span names)",
-    )
 
 
 def _counters(metrics) -> Dict[str, int]:
@@ -200,13 +176,12 @@ def _resource_table(result) -> str:
     )
 
 
-def render_profile(result, metrics, tracer, series=None) -> str:
+def render_profile(result, metrics, series=None) -> str:
     """The full profile report for one finished scenario run."""
     title = f"Observability profile ({result.weeks_run} weeks)"
     sections = [
         title,
         "=" * len(title),
-        _span_table(tracer),
         _cache_table(metrics),
         _retry_table(metrics),
         _sweep_table(result, metrics),

@@ -16,8 +16,9 @@ the id-bearing projection a pure function of the seed.
 
 Sampling (``sample_every=N``) keeps every Nth span *per span name*, a
 deterministic rule that thins the JSONL without desynchronising
-same-seed runs.  Aggregates (span count and total duration per name,
-for the ``profile`` report) always see every span.
+same-seed runs.  The tracer keeps no timing totals of its own: stage
+cost lives in the engine's
+:class:`~repro.pipeline.metrics.PipelineMetrics`.
 
 :class:`Tracer` is a context manager: ``with Tracer(path) as tracer``
 guarantees the JSONL handle is flushed and closed even when the traced
@@ -127,9 +128,6 @@ class NullTracer:
     def emit_metrics(self, registry, sim=None) -> None:
         pass
 
-    def aggregates(self) -> Dict[str, Dict[str, float]]:
-        return {}
-
     def close(self) -> None:
         pass
 
@@ -149,12 +147,12 @@ def _stamp(value) -> Optional[str]:
 
 
 class Tracer:
-    """JSONL span tracer with causal ids, sampling and aggregates.
+    """JSONL span tracer with causal ids and sampling.
 
-    ``path=None`` keeps aggregates only (the ``profile`` subcommand's
-    mode); with a path, one JSON object per line is written with a
-    fixed key order, so traces diff cleanly.  Use as a context manager
-    to guarantee the handle closes on error paths.
+    With a path, one JSON object per line is written with a fixed key
+    order, so traces diff cleanly; ``path=None`` writes nothing (the
+    base of :class:`BufferTracer`).  Use as a context manager to
+    guarantee the handle closes on error paths.
     """
 
     def __init__(self, path: Optional[str] = None, sample_every: int = 1):
@@ -164,8 +162,6 @@ class Tracer:
         self._handle = open(path, "w", encoding="utf-8") if path else None
         #: Spans started per name — drives the every-Nth sampling rule.
         self._seen: Dict[str, int] = {}
-        #: name -> [count, total_ms, max_ms]; always fed, never sampled.
-        self._agg: Dict[str, List[float]] = {}
         #: Per-name sequence counters of root spans (no open parent).
         self._root_seq: Dict[str, int] = {}
 
@@ -191,14 +187,6 @@ class Tracer:
         return n
 
     def _finish_span(self, span: _Span, duration_ms: float) -> None:
-        agg = self._agg.get(span.name)
-        if agg is None:
-            self._agg[span.name] = [1, duration_ms, duration_ms]
-        else:
-            agg[0] += 1
-            agg[1] += duration_ms
-            if duration_ms > agg[2]:
-                agg[2] = duration_ms
         seen = self._seen.get(span.name, 0)
         self._seen[span.name] = seen + 1
         if seen % self.sample_every:
@@ -244,20 +232,6 @@ class Tracer:
     def _write(self, payload: Dict) -> None:
         if self._handle is not None:
             self._handle.write(json.dumps(payload) + "\n")
-
-    # -- reading ----------------------------------------------------------
-
-    def aggregates(self) -> Dict[str, Dict[str, float]]:
-        """Per-span-name timing summary (count/total/mean/max ms)."""
-        return {
-            name: {
-                "count": int(agg[0]),
-                "total_ms": agg[1],
-                "mean_ms": agg[1] / agg[0] if agg[0] else 0.0,
-                "max_ms": agg[2],
-            }
-            for name, agg in sorted(self._agg.items())
-        }
 
     def close(self) -> None:
         if self._handle is not None:

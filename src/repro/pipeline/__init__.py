@@ -3,11 +3,11 @@
 The paper's measurement system is a weekly loop — collect, monitor,
 detect, analyze — run for three years.  This package turns that loop
 into an explicit architecture: a :class:`Stage` is one pipeline
-component with ``setup``/``tick``/``finish`` hooks, a
-:class:`WeekContext` carries the current week plus the inter-stage
-outputs, and a :class:`PipelineEngine` runs an ordered, dependency-
-checked stage list with built-in per-stage instrumentation
-(:class:`PipelineMetrics`) and checkpoint/resume support.
+component with a weekly ``tick``, a :class:`WeekContext` carries the
+current week plus the inter-stage outputs, and a
+:class:`PipelineEngine` runs an ordered, dependency-checked stage list
+with built-in per-stage instrumentation (:class:`PipelineMetrics`),
+dead-lettering of failed ticks and checkpoint/resume support.
 
 Stages are the seam every scaling change plugs into: a stage can be
 swapped (a different monitor backend), sharded (the sweep executor),

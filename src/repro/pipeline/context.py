@@ -1,15 +1,16 @@
 """Per-week shared state passed between stages.
 
 Each weekly tick gets one :class:`WeekContext`: the simulated instant,
-the week index, the run's RNG streams, and a keyed output board where
-stages publish what downstream stages consume (``changed_pairs``,
-``changes``, ``newly_flagged`` …).  The board is cleared between weeks
-so stages cannot accidentally read stale state from a previous tick.
+the week index, and a keyed output board where stages publish what
+downstream stages consume (``changed_pairs``, ``changes``,
+``newly_flagged`` …).  Every week gets a fresh context, so stages
+cannot accidentally read stale state from a previous tick.
 
 The context also carries the week's *quarantine*: dead-letter records
-for items (FQDNs, stage ticks) that exhausted their retries.  A failing
-item degrades to a quarantine record instead of aborting the week; the
-engine accumulates these across weeks for reporting.
+for items that failed: an FQDN whose fetch retries ran out or whose
+sample raised, or a stage tick that raised.  A failing item degrades
+to a quarantine record instead of aborting the week; the engine
+accumulates these across weeks for reporting.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Any, Dict, List
-
-from repro.sim.rng import RngStreams
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,6 @@ class WeekContext:
 
     at: datetime
     week_index: int
-    streams: RngStreams
     outputs: Dict[str, Any] = field(default_factory=dict)
     #: Name of the stage currently ticking (set by the engine; used to
     #: attribute :class:`MissingOutputError` and items-processed counts).
@@ -77,11 +75,8 @@ class WeekContext:
         except KeyError:
             raise MissingOutputError(key, self.current_stage) from None
 
-    def has(self, key: str) -> bool:
-        return key in self.outputs
-
     def quarantine_item(self, item: Any, reason: str) -> None:
-        """Dead-letter ``item``: processing it failed after all retries.
+        """Dead-letter ``item``: processing it failed.
 
         The record is attributed to the currently-ticking stage; the
         week continues without the item (graceful degradation).
@@ -94,7 +89,3 @@ class WeekContext:
                 reason=reason,
             )
         )
-
-    def clear(self) -> None:
-        """Drop all outputs (called by the engine between weeks)."""
-        self.outputs.clear()

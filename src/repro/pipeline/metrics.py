@@ -27,19 +27,12 @@ class StageMetrics:
     #: Process CPU seconds, charged wherever ``wall_time`` is.
     cpu_time: float = 0.0
     items_processed: int = 0
-    setup_time: float = 0.0
-    finish_time: float = 0.0
-    #: Resilience counters: tick re-runs after an exception, ticks that
-    #: exhausted retries and were dead-lettered, ticks skipped because
-    #: an upstream stage failed, and items quarantined by the stage.
-    retries: int = 0
+    #: Resilience counters: ticks that raised and were dead-lettered,
+    #: ticks skipped because an upstream stage failed, and items
+    #: quarantined by the stage.
     failures: int = 0
     skips: int = 0
     quarantined: int = 0
-
-    @property
-    def total_time(self) -> float:
-        return self.setup_time + self.wall_time + self.finish_time
 
     @property
     def mean_tick_ms(self) -> float:
@@ -73,21 +66,8 @@ class PipelineMetrics:
         row.cpu_time += cpu
         row.items_processed += items
 
-    def record_setup(self, name: str, seconds: float) -> None:
-        self.stage(name).setup_time += seconds
-
-    def record_finish(self, name: str, seconds: float) -> None:
-        self.stage(name).finish_time += seconds
-
-    def record_retry(self, name: str, seconds: float = 0.0, cpu: float = 0.0) -> None:
-        """A tick attempt failed and will be re-run."""
-        row = self.stage(name)
-        row.retries += 1
-        row.wall_time += seconds
-        row.cpu_time += cpu
-
     def record_failure(self, name: str, seconds: float = 0.0, cpu: float = 0.0) -> None:
-        """A tick exhausted its retries and was dead-lettered."""
+        """A tick raised and was dead-lettered."""
         row = self.stage(name)
         row.failures += 1
         row.wall_time += seconds
@@ -106,20 +86,19 @@ class PipelineMetrics:
         return list(self._stages.values())
 
     def total_wall_time(self) -> float:
-        return sum(row.total_time for row in self._stages.values())
+        return sum(row.wall_time for row in self._stages.values())
 
-    def rows(self) -> List[Tuple[str, int, str, str, int, str, int, int, int]]:
+    def rows(self) -> List[Tuple[str, int, str, str, int, str, int, int]]:
         """Render-ready rows: (stage, ticks, wall s, mean tick ms, items,
-        items/s, retries, failures+skips, quarantined)."""
+        items/s, failures+skips, quarantined)."""
         return [
             (
                 row.name,
                 row.ticks,
-                f"{row.total_time:.3f}",
+                f"{row.wall_time:.3f}",
                 f"{row.mean_tick_ms:.2f}",
                 row.items_processed,
                 f"{row.items_per_second:,.0f}" if row.items_per_second else "-",
-                row.retries,
                 row.failures + row.skips,
                 row.quarantined,
             )

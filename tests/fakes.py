@@ -26,26 +26,14 @@ class FunctionStage(Stage):
         tick: Callable[[WeekContext], Optional[int]],
         requires: Tuple[str, ...] = (),
         provides: Tuple[str, ...] = (),
-        setup: Optional[Callable[[WeekContext], None]] = None,
-        finish: Optional[Callable[[WeekContext], None]] = None,
     ):
         self.name = name
         self.requires = tuple(requires)
         self.provides = tuple(provides)
         self._tick = tick
-        self._setup = setup
-        self._finish = finish
-
-    def setup(self, ctx: WeekContext) -> None:
-        if self._setup is not None:
-            self._setup(ctx)
 
     def tick(self, ctx: WeekContext) -> Optional[int]:
         return self._tick(ctx)
-
-    def finish(self, ctx: WeekContext) -> None:
-        if self._finish is not None:
-            self._finish(ctx)
 
 
 class CallableSite:

@@ -1,4 +1,4 @@
-"""Tests for zones, change history and the zone registry."""
+"""Tests for zones, their journal revisions and the zone registry."""
 
 from datetime import datetime
 
@@ -67,12 +67,16 @@ def test_replace_swaps_records():
     assert [r.rdata for r in zone.lookup("a.example.com", RRType.A)] == ["9.9.9.9"]
 
 
-def test_history_records_adds_and_removes_with_timestamps():
+def test_each_add_and_remove_bumps_the_name_revision_once():
+    # The touch ledger and the resolver memos see a zone change only
+    # through these per-name journal revisions.
     zone = Zone("example.com")
+    assert zone.name_version("a.example.com") == 0
     record = zone.add(_a("a.example.com"), T0)
+    assert zone.name_version("a.example.com") == 1
     zone.remove(record, T1)
-    history = [c for c in zone.history if c.record.name == "a.example.com"]
-    assert [(c.action, c.at) for c in history] == [("add", T0), ("remove", T1)]
+    assert zone.name_version("a.example.com") == 2
+    assert zone.name_version("b.example.com") == 0
 
 
 def test_names_lists_current_owners():

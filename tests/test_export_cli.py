@@ -1,12 +1,33 @@
 """Tests for the JSON export and the CLI."""
 
+import dataclasses
 import io
 import json
+import re
 
 import pytest
 
-from repro.cli import _build_parser, _config_from_args, main
+from repro.cli import _build_parser, _config_from_args, _print_resilience, main
+from repro.obs import NULL_TRACER, OBS
+from repro.pipeline.context import QuarantineRecord
 from tests.test_pipeline_determinism import ground_truth_to_json
+
+
+def _cells(line: str):
+    return re.split(r"\s{2,}", line.strip())
+
+
+def _table(text: str, title: str):
+    """The header and rows of the table titled ``title`` in ``text``,
+    each split into its cells."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(title))
+    rows = []
+    for line in lines[start + 3:]:
+        if not line.strip():
+            break
+        rows.append(_cells(line))
+    return _cells(lines[start + 1]), rows
 
 
 def test_ground_truth_export(tiny_result):
@@ -44,6 +65,51 @@ def test_cli_audit():
     out = io.StringIO()
     assert main(["audit", "--scale", "tiny", "--seed", "3"], out=out) == 0
     assert "Attack surface" in out.getvalue()
+
+
+def test_cli_pipeline_prints_every_stage_in_pipeline_order():
+    out = io.StringIO()
+    assert main(["pipeline", "--scale", "tiny", "--weeks", "3"], out=out) == 0
+    text = out.getvalue()
+    header, rows = _table(text, "Pipeline stage metrics")
+    assert header == ["stage", "ticks", "wall s", "mean tick ms", "items",
+                      "items/s", "fail+skip", "quarantined"]
+    assert [row[0] for row in rows] == [
+        "world", "orchestrator", "users", "collector-refresh",
+        "monitor-sweep", "change-detect", "detect", "notify", "harvest",
+    ]
+    for row in rows:
+        assert (row[1], row[-2], row[-1]) == ("3", "0", "0")
+    # No fault plan and no dead letters: no resilience summary.
+    assert "Resilience summary" not in text
+
+
+def test_cli_profile_prints_its_sections_and_no_span_table():
+    out = io.StringIO()
+    assert main(["profile", "--scale", "tiny", "--weeks", "2"], out=out) == 0
+    text = out.getvalue()
+    for title in ("Cache hit rates", "Retry and breaker heat",
+                  "Sweep path and detector", "Weekly trend",
+                  "Resource accounting"):
+        assert f"\n{title}" in text
+    # Stage cost is the resource table's; no span table repeats it.
+    assert "span" not in text
+    assert OBS.enabled is False and OBS.tracer is NULL_TRACER
+
+
+def test_resilience_summary_shows_dead_letters_without_a_fault_plan(tiny_result):
+    assert tiny_result.fault_plan is None
+    letter = QuarantineRecord(
+        week_index=0, stage="monitor-sweep", item="a.example.com",
+        reason="sample raised: ValueError",
+    )
+    result = dataclasses.replace(tiny_result, dead_letters=[letter])
+    out = io.StringIO()
+    _print_resilience(result, out)
+    header, rows = _table(out.getvalue(), "Resilience summary")
+    assert header == ["event", "count"]
+    assert ["quarantined (dead letters)", "1"] in rows
+    assert not [row for row in rows if row[0].startswith("injected")]
 
 
 def test_cli_countermeasure_flag():

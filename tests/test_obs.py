@@ -100,7 +100,7 @@ def test_configure_and_reset_flip_the_enabled_flag():
 # -- tracer ----------------------------------------------------------------
 
 
-def test_tracer_samples_every_nth_span_per_name_but_aggregates_all():
+def test_tracer_samples_every_nth_span_per_name():
     tracer = BufferTracer(sample_every=3)
     for _ in range(7):
         with tracer.span("sweep.shard", sim=T0):
@@ -111,8 +111,6 @@ def test_tracer_samples_every_nth_span_per_name_but_aggregates_all():
     # Spans 1, 4 and 7 of "sweep.shard" survive; "other" starts its own
     # per-name counter so its first span is kept too.
     assert written == ["sweep.shard", "sweep.shard", "sweep.shard", "other"]
-    assert tracer.aggregates()["sweep.shard"]["count"] == 7
-    assert tracer.aggregates()["other"]["count"] == 1
 
 
 def test_span_records_exception_and_reraises():

@@ -13,7 +13,6 @@ from repro.pipeline import (
     WeekContext,
 )
 from repro.sim.clock import DEFAULT_START, SimClock
-from repro.sim.rng import RngStreams
 from datetime import timedelta
 
 from tests.fakes import FunctionStage
@@ -24,7 +23,7 @@ def _clock(weeks: int) -> SimClock:
 
 
 def _engine(stages, weeks=3):
-    return PipelineEngine(stages, _clock(weeks), RngStreams(1))
+    return PipelineEngine(stages, _clock(weeks))
 
 
 # -- composition validation ---------------------------------------------------
@@ -38,6 +37,7 @@ def test_stages_run_in_declared_order_every_week():
     ]
     engine = _engine(stages, weeks=2)
     assert engine.run() == 2
+    assert engine.dead_letters == []
     assert calls == [
         ("alpha", 0), ("beta", 0),
         ("alpha", 1), ("beta", 1),
@@ -78,7 +78,9 @@ def test_dependency_satisfied_by_earlier_stage_is_accepted():
     consumer = FunctionStage(
         "consumer", lambda ctx: seen.append(ctx.get("x")), requires=("x",)
     )
-    _engine([producer, consumer], weeks=3).run()
+    engine = _engine([producer, consumer], weeks=3)
+    engine.run()
+    assert engine.dead_letters == []
     assert seen == [0, 1, 2]
 
 
@@ -100,14 +102,16 @@ def test_outputs_cleared_between_weeks():
     observed = []
     stages = [
         FunctionStage("producer", sometimes_put, provides=("x",)),
-        FunctionStage("reader", lambda ctx: observed.append(ctx.has("x"))),
+        FunctionStage("reader", lambda ctx: observed.append("x" in ctx.outputs)),
     ]
-    _engine(stages, weeks=2).run()
+    engine = _engine(stages, weeks=2)
+    engine.run()
+    assert engine.dead_letters == []
     assert observed == [True, False]
 
 
 def test_missing_output_names_reader_stage():
-    ctx = WeekContext(at=DEFAULT_START, week_index=0, streams=RngStreams(1))
+    ctx = WeekContext(at=DEFAULT_START, week_index=0)
     ctx.current_stage = "reader"
     with pytest.raises(MissingOutputError, match="reader"):
         ctx.get("never-published")
@@ -123,6 +127,7 @@ def test_metrics_count_ticks_and_items():
     ]
     engine = _engine(stages, weeks=4)
     engine.run()
+    assert engine.dead_letters == []
     counted = engine.metrics.stage("counted")
     assert counted.ticks == 4
     assert counted.items_processed == 20
@@ -130,36 +135,6 @@ def test_metrics_count_ticks_and_items():
     assert engine.metrics.stage("uncounted").items_processed == 0
     # Rows come back in pipeline order.
     assert [row[0] for row in engine.metrics.rows()] == ["counted", "uncounted"]
-
-
-def test_metrics_record_setup_and_finish():
-    events = []
-    stage = FunctionStage(
-        "lifecycle",
-        lambda ctx: events.append("tick"),
-        setup=lambda ctx: events.append("setup"),
-        finish=lambda ctx: events.append("finish"),
-    )
-    engine = _engine([stage], weeks=2)
-    engine.run()
-    assert events == ["setup", "tick", "tick", "finish"]
-    row = engine.metrics.stage("lifecycle")
-    assert row.setup_time >= 0.0 and row.finish_time >= 0.0
-    assert row.total_time >= row.wall_time
-
-
-def test_partial_run_does_not_finish_stages():
-    events = []
-    stage = FunctionStage(
-        "lifecycle",
-        lambda ctx: None,
-        finish=lambda ctx: events.append("finish"),
-    )
-    engine = _engine([stage], weeks=5)
-    engine.run(max_weeks=2)
-    assert events == []
-    engine.run()
-    assert events == ["finish"]
 
 
 def test_metrics_registry_reusable_standalone():
@@ -191,6 +166,7 @@ def test_checkpoint_resume_roundtrip_on_tiny_scenario():
     assert resumed.week_index == 6
     resumed.run()
     assert resumed.week_index == 12
+    assert engine.dead_letters == resumed.dead_letters == []
     assert dataset_to_json(resumed.payload.dataset, indent=2) == full
     assert (
         resumed.payload.ground_truth.hijacked_fqdns()
@@ -211,6 +187,7 @@ def test_run_emits_periodic_checkpoints():
     checkpoints = []
     engine = _engine([_NoopStage()], weeks=10)
     engine.run(checkpoint_every=3, on_checkpoint=checkpoints.append)
+    assert engine.dead_letters == []
     # Snapshots after weeks 3, 6 and 9 — never after the final week.
     assert [cp.week_index for cp in checkpoints] == [3, 6, 9]
     assert all(len(cp.blob) > 0 for cp in checkpoints)

@@ -192,7 +192,7 @@ def test_sweep_dead_letters_unsampleable_name():
         stage = MonitorSweepStage(monitor, Collector())
         letters = []
         for week in range(2):
-            ctx = WeekContext(at=T0 + week * WEEK, week_index=week, streams=RngStreams(1))
+            ctx = WeekContext(at=T0 + week * WEEK, week_index=week)
             stage.tick(ctx)
             letters.extend((record.item, record.reason) for record in ctx.quarantine)
         healthy = [name for name in names if name != evil]

@@ -161,17 +161,16 @@ def test_series_export_and_deterministic_view(tmp_path):
 
 
 def test_stage_rows_accumulate():
-    # CPU is charged wherever wall time is: ticks, retried attempts and
-    # dead-lettered ones.  Only ticks count as calls.
+    # CPU is charged wherever wall time is: ticks and dead-lettered
+    # ones.  Only ticks count as calls.
     metrics = PipelineMetrics()
     metrics.record_tick("detect", 0.2, items=5, cpu=0.1)
     metrics.record_tick("detect", 0.4, cpu=0.3)
-    metrics.record_retry("detect", 0.05, 0.01)
     metrics.record_failure("detect", 0.06, 0.02)
     (row,) = metrics.stages()
-    assert (row.ticks, row.retries, row.failures) == (2, 1, 1)
-    assert row.wall_time == pytest.approx(0.71)
-    assert row.cpu_time == pytest.approx(0.43)
+    assert (row.ticks, row.failures) == (2, 1)
+    assert row.wall_time == pytest.approx(0.66)
+    assert row.cpu_time == pytest.approx(0.42)
     assert row.items_processed == 5
 
 
